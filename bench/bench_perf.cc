@@ -1179,7 +1179,6 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
         serve::ServiceOptions so;
         so.shards = shards;
         so.assembler_threads = 1;
-        so.engine_threads = 1;
         so.shed_policy = config.shed_policy;
         serve::LocalizationService service(
             dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
@@ -1271,7 +1270,8 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
         result.worst_p99_us = std::max(result.worst_p99_us, point.p99_us);
 
         std::cout << "  tags=" << tags << " shards=" << point.shards
-                  << " producers=" << producers << "  "
+                  << " producers=" << producers
+                  << " engine_threads=" << service.engine().threads() << "  "
                   << stats.mean << " rounds/sec (stddev " << stats.stddev
                   << ")  p50=" << point.p50_us / 1e3
                   << "ms p99=" << point.p99_us / 1e3
@@ -1370,7 +1370,6 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
     serve::ServiceOptions so;
     so.shards = 8;
     so.assembler_threads = 1;
-    so.engine_threads = 1;
     // The OnMessage path cannot retry a refused frame (TCP gives the sender
     // no backpressure signal), so the rings are sized for the whole pass.
     so.ring_capacity = smoke.tags * smoke.rounds_per_tag *

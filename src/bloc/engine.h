@@ -1,19 +1,30 @@
-// LocalizationEngine: the staged BLoc pipeline on a fixed thread pool.
+// LocalizationEngine: a thin owner of a fixed thread pool and one
+// LocalizerWorkspace per pool slot around the one locate pipeline,
+// Localizer::Locate.
 //
 // Two axes of parallelism, both with deterministic, bit-identical output to
 // the serial Localizer::Locate path:
-//  - within one round, the per-anchor joint likelihood maps are computed
-//    concurrently and fused in a fixed order (ascending anchor id);
-//  - across rounds, LocateBatch distributes rounds over the workers, each
-//    using its own preallocated LocalizerWorkspace, and writes results into
+//  - within one round (Locate, LocateAsync), Localizer::Locate fans the
+//    per-anchor joint likelihood maps out with the pool's ParallelFor and
+//    fuses them in a fixed order (ascending anchor id). ParallelFor is
+//    caller-participating: the thread running the round computes maps too,
+//    and idle workers take the rest. A LocateAsync task therefore fans out
+//    on its own pool without deadlock; when every worker is busy with
+//    other rounds it simply computes all of its own anchors;
+//  - across rounds, LocateBatch distributes rounds over the workers, one
+//    round per worker on its slot's workspace, and writes results into
 //    index-matched slots (ordering never depends on completion order).
+//    Each round still offers its maps to the pool: a batch with fewer
+//    rounds than threads fans them out over the idle workers, and in a
+//    full batch every worker runs its own anchors.
 //
 // The engine owns (via its Localizer) one SteeringPlanCache shared read-only
 // by every worker: the per-anchor steering plans are built once during the
-// first round — under the cache mutex — and all later rounds run the
-// precomputed split-complex kernel allocation-free.
+// first round — concurrently for distinct anchors — and all later rounds
+// run the precomputed split-complex kernel allocation-free.
 #pragma once
 
+#include <functional>
 #include <future>
 #include <mutex>
 #include <span>
@@ -34,9 +45,10 @@ class LocalizationEngine {
   LocalizationEngine(Deployment deployment, LocalizerConfig config,
                      EngineOptions options = {});
 
-  /// Localizes one round. With SearchMode::kExhaustive the per-anchor maps
-  /// are computed in parallel; coarse-to-fine rounds run the serial search
-  /// strategy (bit-identical selected positions either way).
+  /// Localizes one round on the calling thread, fanning its per-anchor
+  /// maps out on the pool. With SearchMode::kExhaustive the maps run in
+  /// parallel; coarse-to-fine rounds run the serial search strategy
+  /// (bit-identical selected positions either way).
   LocationResult Locate(const net::MeasurementRound& round);
 
   /// Localizes many rounds, distributing them across the pool. results[i]
@@ -46,12 +58,17 @@ class LocalizationEngine {
 
   /// Localizes one round asynchronously on the pool, writing `out` when
   /// done — the streaming-pipeline primitive: a producer keeps generating
-  /// rounds while earlier ones localize. `round` and `out` must stay alive
-  /// until the returned future resolves; results are bit-identical to
-  /// Locate/LocateBatch. Must not be interleaved with LocateBatch/Locate
-  /// calls (they address the per-slot workspaces directly).
+  /// rounds while earlier ones localize. The round's maps fan out on the
+  /// pool like Locate's. `round` and `out` must stay alive until the
+  /// returned future resolves; results are bit-identical to
+  /// Locate/LocateBatch, and an exception from Locate is rethrown by the
+  /// future. `on_ready`, if set, runs on the worker right after the future
+  /// became ready, so a consumer can sleep until then instead of polling.
+  /// Must not be interleaved with LocateBatch/Locate calls (they address
+  /// the per-slot workspaces directly).
   std::future<void> LocateAsync(const net::MeasurementRound& round,
-                                LocationResult& out);
+                                LocationResult& out,
+                                std::function<void()> on_ready = {});
 
   std::size_t threads() const { return pool_.size(); }
   const Localizer& localizer() const { return localizer_; }

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "dsp/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -15,7 +16,7 @@ namespace bloc::core {
 namespace {
 
 /// Registry handles for the localization stages, resolved once per process
-/// (DESIGN.md §5d). Shared by the serial path and the engine.
+/// (DESIGN.md §5d).
 struct LocalizerMetrics {
   obs::Counter& rounds = obs::GetCounter("bloc.localizer.rounds");
   obs::Counter& empty_rounds = obs::GetCounter("bloc.localizer.empty_rounds");
@@ -52,36 +53,45 @@ struct LocalizerMetrics {
 
 /// The reference strategy: every cell of every anchor map at full
 /// resolution, fused in ascending-anchor-id order (the pre-PR 6 behavior).
+/// The per-anchor maps run serially on the caller or fan out on `map_pool`.
 class ExhaustiveSearch final : public SearchStrategy {
  public:
   SearchMode mode() const override { return SearchMode::kExhaustive; }
 
-  void BuildFusedInto(const Localizer& loc,
-                      LocalizerWorkspace& ws) const override {
+  void BuildFusedInto(const Localizer& loc, LocalizerWorkspace& ws,
+                      const dsp::ThreadPool* map_pool) const override {
     const LocalizerMetrics& metrics = LocalizerMetrics::Get();
     ws.search.stats = SearchStats{};
-    if (ws.anchor_maps.empty()) ws.anchor_maps.resize(1);
-    if (ws.spectra.empty()) ws.spectra.resize(1);
+    const std::size_t n = ws.fuse_order.size();
+    // One map per anchor; one spectra scratch per executing slot.
+    if (ws.anchor_maps.size() < n) ws.anchor_maps.resize(n);
+    const std::size_t slots = map_pool == nullptr ? 1 : map_pool->size();
+    if (ws.spectra.size() < slots) ws.spectra.resize(slots);
+    const auto anchor_map = [&](std::size_t i, std::size_t slot) {
+      const std::size_t idx = ws.fuse_order[i];
+      obs::TraceSpan span("localize.anchor_map", "bloc",
+                          ws.corrected.anchors[idx].anchor_id);
+      obs::ScopedTimer timer(metrics.anchor_map_us);
+      loc.AnchorMapInto(ws.corrected, idx, ws.anchor_maps[i],
+                        ws.spectra[slot]);
+    };
+    if (map_pool == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) anchor_map(i, 0);
+    } else {
+      map_pool->ParallelFor(n, anchor_map);
+    }
+
+    // Fusion stays sequential in anchor-id order: floating-point addition
+    // is not associative, so summing in completion order would make the
+    // result depend on thread timing.
     dsp::Grid2D& fused = ws.EnsureFused();
     fused.Reset(loc.config().grid);
-    // The serial loop interleaves map computation and fusion, so the fuse
-    // stage is timed by accumulation rather than one contiguous span.
-    std::uint64_t fuse_ns = 0;
-    const bool metrics_on = obs::MetricsEnabled();
-    for (std::size_t idx : ws.fuse_order) {
-      {
-        obs::TraceSpan span("localize.anchor_map", "bloc",
-                            ws.corrected.anchors[idx].anchor_id);
-        obs::ScopedTimer timer(metrics.anchor_map_us);
-        loc.AnchorMapInto(ws.corrected, idx, ws.anchor_maps[0],
-                          ws.spectra[0]);
-      }
-      const std::uint64_t t0 = metrics_on ? obs::NowNs() : 0;
-      fused.Add(ws.anchor_maps[0]);
-      if (metrics_on) fuse_ns += obs::NowNs() - t0;
+    {
+      obs::TraceSpan span("localize.fuse", "bloc");
+      obs::ScopedTimer timer(metrics.fuse_us);
+      for (std::size_t i = 0; i < n; ++i) fused.Add(ws.anchor_maps[i]);
     }
-    if (metrics_on) metrics.fuse_us.Record(fuse_ns / 1000);
-    const std::size_t cells = fused.data().size() * ws.fuse_order.size();
+    const std::size_t cells = fused.data().size() * n;
     ws.search.stats.cells_evaluated = cells;
     metrics.search_cells_evaluated.Inc(cells);
   }
@@ -104,8 +114,8 @@ class CoarseToFineSearch final : public SearchStrategy {
  public:
   SearchMode mode() const override { return SearchMode::kCoarseToFine; }
 
-  void BuildFusedInto(const Localizer& loc,
-                      LocalizerWorkspace& ws) const override {
+  void BuildFusedInto(const Localizer& loc, LocalizerWorkspace& ws,
+                      const dsp::ThreadPool* map_pool) const override {
     const LocalizerMetrics& metrics = LocalizerMetrics::Get();
     bool ok = TryCoarse(loc, ws, ws.gate.active);
     FallbackReason gate_reason = FallbackReason::kNone;
@@ -122,7 +132,8 @@ class CoarseToFineSearch final : public SearchStrategy {
     if (!ok) {
       // The exhaustive pass resets the stats; keep the recorded reason.
       const FallbackReason reason = ws.search.stats.fallback_reason;
-      GetSearchStrategy(SearchMode::kExhaustive).BuildFusedInto(loc, ws);
+      GetSearchStrategy(SearchMode::kExhaustive)
+          .BuildFusedInto(loc, ws, map_pool);
       ws.search.stats.fell_back = true;
       ws.search.stats.fallback_reason = reason;
       ws.search.stats.gate_fallback = gate_reason;
@@ -832,7 +843,7 @@ CorrectedChannels Localizer::CorrectedFor(
 
 void Localizer::FusedMapInto(LocalizerWorkspace& ws) const {
   FuseOrder(ws.corrected, ws.fuse_order);
-  search_->BuildFusedInto(*this, ws);
+  search_->BuildFusedInto(*this, ws, /*map_pool=*/nullptr);
 }
 
 dsp::Grid2D Localizer::FusedMap(const CorrectedChannels& corrected) const {
@@ -843,7 +854,8 @@ dsp::Grid2D Localizer::FusedMap(const CorrectedChannels& corrected) const {
 }
 
 LocationResult Localizer::Locate(const net::MeasurementRound& round,
-                                 LocalizerWorkspace& ws) const {
+                                 LocalizerWorkspace& ws,
+                                 const dsp::ThreadPool* map_pool) const {
   const LocalizerMetrics& metrics = LocalizerMetrics::Get();
   obs::TraceSpan round_span("localize.round", "bloc", round.round_id);
   metrics.rounds.Inc();
@@ -861,7 +873,7 @@ LocationResult Localizer::Locate(const net::MeasurementRound& round,
     CorrectInto(ws.view, ws.corrected);
     FuseOrder(ws.corrected, ws.fuse_order);
   }
-  search_->BuildFusedInto(*this, ws);
+  search_->BuildFusedInto(*this, ws, map_pool);
   obs::TraceSpan span("localize.score", "bloc");
   obs::ScopedTimer timer(metrics.score_us);
   return ScoreFused(ws.fused, ws.corrected);

@@ -4,8 +4,9 @@
 // The pipeline is split into explicit stages (filter -> correct -> per-anchor
 // spectra -> fuse -> score) that operate on a caller-owned
 // LocalizerWorkspace, so steady-state localization reuses every buffer
-// instead of reallocating per round. LocalizationEngine (bloc/engine.h) runs
-// the same stages across a thread pool with bit-identical results.
+// instead of reallocating per round. Locate is the one pipeline: given a
+// thread pool it fans the per-anchor maps out on it, which is how
+// LocalizationEngine (bloc/engine.h) runs it, with bit-identical results.
 #pragma once
 
 #include <array>
@@ -129,9 +130,11 @@ struct LocalizerWorkspace {
   /// Anchor indices into `corrected.anchors` in fusion order (ascending
   /// anchor id) — fixed so threaded and serial runs fuse identically.
   std::vector<std::size_t> fuse_order;
-  /// Per-anchor map slots (the serial path reuses slot 0; the engine uses
-  /// one slot per anchor so maps can be computed concurrently).
+  /// One map per anchor in fuse order, so maps can be computed concurrently
+  /// and then fused in a fixed order.
   std::vector<dsp::Grid2D> anchor_maps;
+  /// Kernel scratch per executing slot (ThreadPool::ParallelFor slot id;
+  /// the serial path uses slot 0).
   std::vector<SpectraWorkspace> spectra;
   /// Fused map, shared-ptr-owned so keep_map hands the round's map to the
   /// result without a deep copy; the next round allocates a fresh grid only
@@ -162,9 +165,13 @@ class Localizer {
   LocationResult Locate(const net::MeasurementRound& round) const;
 
   /// Allocation-free variant: all scratch lives in the caller's workspace.
-  /// Bit-identical to Locate(round).
+  /// `map_pool` is the anchor-map executor: nullptr computes the round's
+  /// per-anchor maps serially on the caller; a pool fans them out with
+  /// ParallelFor (the caller takes part, so this is safe from inside a
+  /// task of that same pool). Bit-identical to Locate(round) either way.
   LocationResult Locate(const net::MeasurementRound& round,
-                        LocalizerWorkspace& ws) const;
+                        LocalizerWorkspace& ws,
+                        const dsp::ThreadPool* map_pool = nullptr) const;
 
   /// The corrected channels after anchor/band filtering — exposed for
   /// diagnostics and the microbenchmarks.
@@ -182,7 +189,7 @@ class Localizer {
   /// for the benchmarks.
   void FusedMapInto(LocalizerWorkspace& ws) const;
 
-  // --- Pipeline stages, in execution order (used by LocalizationEngine) ---
+  // --- Pipeline stages of Locate, in execution order ---
 
   /// Filter: selects the allowed reports/bands of `round` into `view`
   /// (index lists, no copies). Returns false when nothing usable survives —

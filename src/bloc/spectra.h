@@ -23,6 +23,10 @@
 #include "dsp/grid2d.h"
 #include "geom/vec2.h"
 
+namespace bloc::dsp {
+class ThreadPool;
+}  // namespace bloc::dsp
+
 namespace bloc::core {
 
 class SteeringPlan;
@@ -138,8 +142,12 @@ class SearchStrategy {
   /// Requires ws.corrected and ws.fuse_order to be populated (the filter
   /// and correct stages have run). Peak selection over the result is
   /// bit-identical across strategies (see SearchMode::kCoarseToFine).
+  /// `map_pool` is the anchor-map executor: nullptr runs the per-anchor
+  /// maps serially on the caller, a pool fans them out with its
+  /// ParallelFor. The result is bit-identical either way.
   virtual void BuildFusedInto(const Localizer& localizer,
-                              LocalizerWorkspace& ws) const = 0;
+                              LocalizerWorkspace& ws,
+                              const dsp::ThreadPool* map_pool) const = 0;
 };
 
 /// The singleton strategy implementing `mode`.

@@ -177,28 +177,59 @@ void SteeringPlanCache::EvictOverBudgetLocked() {
   bytes_gauge_.Set(static_cast<std::int64_t>(bytes_));
 }
 
-std::shared_ptr<const SteeringPlan> SteeringPlanCache::Insert(
-    std::shared_ptr<const SteeringPlan> plan) {
-  ++builds_;
-  builds_metric_.Inc();
-  bytes_ += plan->MemoryBytes();
-  plans_.insert(plans_.begin(), std::move(plan));
-  EvictOverBudgetLocked();
-  return plans_.front();
-}
-
-std::shared_ptr<const SteeringPlan> SteeringPlanCache::GetOrBuild(
-    const SteeringPlanKey& key) {
+template <typename MatchFn, typename KeyFn>
+std::shared_ptr<const SteeringPlan> SteeringPlanCache::Lookup(
+    const MatchFn& matches, const KeyFn& make_key) {
   lookups_metric_.Inc();
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   ++lookups_;
   for (auto it = plans_.begin(); it != plans_.end(); ++it) {
-    if ((*it)->key() == key) {
+    if (matches((*it)->key())) {
       std::rotate(plans_.begin(), it, it + 1);  // hit: move to MRU front
       return plans_.front();
     }
   }
-  return Insert(std::make_shared<const SteeringPlan>(key));
+  for (const Building& b : building_) {
+    if (matches(b.key)) {
+      const auto pending = b.plan;
+      lock.unlock();
+      return pending.get();  // rethrows if that build failed
+    }
+  }
+
+  std::promise<std::shared_ptr<const SteeringPlan>> promise;
+  // The entry is retired through its own iterator, never by key: a key
+  // holding a NaN compares unequal to itself.
+  const auto entry = building_.insert(
+      building_.end(), {make_key(), promise.get_future().share()});
+  const SteeringPlanKey& key = entry->key;
+  lock.unlock();
+  std::shared_ptr<const SteeringPlan> plan;
+  std::exception_ptr error;
+  try {
+    plan = std::make_shared<const SteeringPlan>(key);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  lock.lock();
+  building_.erase(entry);
+  if (error) {
+    promise.set_exception(error);
+    std::rethrow_exception(error);
+  }
+  ++builds_;
+  builds_metric_.Inc();
+  bytes_ += plan->MemoryBytes();
+  plans_.insert(plans_.begin(), plan);
+  EvictOverBudgetLocked();
+  promise.set_value(plan);
+  return plan;
+}
+
+std::shared_ptr<const SteeringPlan> SteeringPlanCache::GetOrBuild(
+    const SteeringPlanKey& key) {
+  return Lookup([&](const SteeringPlanKey& k) { return k == key; },
+                [&] { return key; });
 }
 
 std::shared_ptr<const SteeringPlan> SteeringPlanCache::GetOrBuild(
@@ -208,17 +239,11 @@ std::shared_ptr<const SteeringPlan> SteeringPlanCache::GetOrBuild(
   }
   const double comb_f0 = input.band_freqs_hz.front();
   const std::size_t antennas = detail::EffectiveAntennas(input);
-  lookups_metric_.Inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++lookups_;
-  for (auto it = plans_.begin(); it != plans_.end(); ++it) {
-    if (Matches((*it)->key(), input, spec, comb_f0, comb_step, antennas)) {
-      std::rotate(plans_.begin(), it, it + 1);  // hit: move to MRU front
-      return plans_.front();
-    }
-  }
-  return Insert(std::make_shared<const SteeringPlan>(
-      MakeSteeringPlanKey(input, spec, comb_step)));
+  return Lookup(
+      [&](const SteeringPlanKey& key) {
+        return Matches(key, input, spec, comb_f0, comb_step, antennas);
+      },
+      [&] { return MakeSteeringPlanKey(input, spec, comb_step); });
 }
 
 std::size_t SteeringPlanCache::builds() const {

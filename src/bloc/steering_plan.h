@@ -14,6 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -133,12 +135,14 @@ struct SteeringCacheLimits {
 };
 
 /// Thread-safe keyed LRU cache of steering plans. Plans are built at most
-/// once per resident key (under the mutex — first-round cost only) and
-/// handed out as shared_ptr<const>, so readers never synchronize after the
-/// build and eviction never invalidates a plan still in use. One cache per
-/// Localizer / LocalizationEngine serves every worker thread; multi-
-/// scenario runs stay within SteeringCacheLimits instead of growing without
-/// bound.
+/// once per resident key (first-round cost only) and handed out as
+/// shared_ptr<const>, so readers never synchronize after the build and
+/// eviction never invalidates a plan still in use. Builds run outside the
+/// mutex behind a per-key in-progress entry: builds of different keys (one
+/// per anchor of a fanned-out round) run in parallel, and a lookup of a
+/// key being built waits for that one build only. One cache per Localizer /
+/// LocalizationEngine serves every worker thread; multi-scenario runs stay
+/// within SteeringCacheLimits instead of growing without bound.
 class SteeringPlanCache {
  public:
   SteeringPlanCache();
@@ -170,13 +174,26 @@ class SteeringPlanCache {
   const SteeringCacheLimits& limits() const { return limits_; }
 
  private:
-  std::shared_ptr<const SteeringPlan> Insert(
-      std::shared_ptr<const SteeringPlan> plan);
+  /// A plan under construction; lookups of its key wait on `plan`.
+  struct Building {
+    SteeringPlanKey key;
+    std::shared_future<std::shared_ptr<const SteeringPlan>> plan;
+  };
+
+  /// The one lookup path: a resident plan matching `matches(key)`, else the
+  /// in-progress build of that key, else a new build of `make_key()`
+  /// outside the mutex.
+  template <typename MatchFn, typename KeyFn>
+  std::shared_ptr<const SteeringPlan> Lookup(const MatchFn& matches,
+                                             const KeyFn& make_key);
   void EvictOverBudgetLocked();
 
   mutable std::mutex mu_;
   /// MRU-first: hits rotate the plan to the front, eviction pops the back.
   std::vector<std::shared_ptr<const SteeringPlan>> plans_;
+  /// Builds in progress (at most one per key). A list, so each builder's
+  /// iterator to its own entry stays valid while others come and go.
+  std::list<Building> building_;
   SteeringCacheLimits limits_;
   std::size_t builds_ = 0;
   std::size_t lookups_ = 0;

@@ -43,8 +43,8 @@ std::size_t ThreadPool::queue_depth() const {
 }
 
 void ThreadPool::RunTask(QueuedTask& task) const {
-  // Completion is accounted even when the task throws (inline ParallelFor
-  // rethrows to the caller): an accepted task that ran is not dropped work.
+  // Completion is accounted even if the task throws: an accepted task that
+  // ran is not dropped work.
   struct Accounting {
     const ThreadPool* pool;
     const QueuedTask* task;
@@ -105,52 +105,69 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   return future;
 }
 
+namespace {
+
+/// Shared by one ParallelFor call and its helper tasks. Every index in
+/// [0, n) is claimed exactly once; `finished` counts claimed indices whose
+/// body returned, threw, or was skipped after an earlier failure.
+struct ForState {
+  explicit ForState(std::size_t count) : n(count) {}
+
+  /// Claims and runs indices as `slot` until none is left. `fn` is touched
+  /// only after a successful claim, and the caller cannot return before
+  /// that index finishes — so a helper that starts late never sees a
+  /// dangling `fn`.
+  void Run(const std::function<void(std::size_t, std::size_t)>& fn,
+           std::size_t slot) {
+    for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          fn(i, slot);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (!error) error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+        }
+      }
+      if (finished.fetch_add(1) + 1 == n) {
+        std::lock_guard<std::mutex> lock(mutex);
+        done.notify_all();
+      }
+    }
+  }
+
+  const std::size_t n;
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> finished{0};
+  std::atomic<bool> failed{false};
+  std::mutex mutex;
+  std::condition_variable done;
+  std::exception_ptr error;
+};
+
+}  // namespace
+
 void ThreadPool::ParallelFor(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& fn) const {
   if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-    submitted_metric_.Inc();
-    QueuedTask inline_task{[&] { for (std::size_t i = 0; i < n; ++i) fn(i, 0); },
-                           obs::MetricsEnabled() ? obs::NowNs() : 0};
-    RunTask(inline_task);
-    return;
+  auto state = std::make_shared<ForState>(n);
+  // The caller is slot 0; helpers take slots 1.. and may start after the
+  // caller has already run every index (then they find nothing to claim).
+  const std::size_t helpers = std::min(size_, n) - 1;
+  for (std::size_t slot = 1; slot <= helpers; ++slot) {
+    Enqueue([state, &fn, slot] { state->Run(fn, slot); });
   }
-
-  struct ForState {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> remaining{0};
-    std::mutex mutex;
-    std::condition_variable done;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<ForState>();
-  const std::size_t slots = std::min(size_, n);
-  state->remaining.store(slots);
-
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    // fn outlives the tasks: this call blocks until every slot finishes.
-    Enqueue([state, &fn, slot, n] {
-      try {
-        for (std::size_t i; (i = state->next.fetch_add(1)) < n;) {
-          fn(i, slot);
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        if (!state->error) state->error = std::current_exception();
-        // Stop handing out further indices after a failure.
-        state->next.store(n);
-      }
-      if (state->remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        state->done.notify_all();
-      }
-    });
-  }
+  // The caller's share is booked as one task, so inline pools and fan-outs
+  // keep the same submitted/completed accounting.
+  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_metric_.Inc();
+  QueuedTask own{[&] { state->Run(fn, 0); },
+                 obs::MetricsEnabled() ? obs::NowNs() : 0};
+  RunTask(own);
 
   std::unique_lock<std::mutex> lock(state->mutex);
-  state->done.wait(lock, [&] { return state->remaining.load() == 0; });
+  state->done.wait(lock, [&] { return state->finished.load() == n; });
   if (state->error) std::rethrow_exception(state->error);
 }
 

@@ -1,7 +1,8 @@
 // A small fixed-size worker pool for the localization engine. std::thread +
 // a mutex-guarded task queue, no external dependencies. A pool of size 1
 // owns no threads at all: Submit and ParallelFor run inline on the calling
-// thread, so single-threaded users pay zero scheduling overhead.
+// thread, so single-threaded users pay zero scheduling overhead. Larger
+// pools run ParallelFor on the caller plus queued helpers.
 //
 // Observability (DESIGN.md §5d): every pool shares the registry metrics
 //   dsp.thread_pool.submitted / completed  (counters)
@@ -47,10 +48,16 @@ class ThreadPool {
   /// exception the task raised.
   std::future<void> Submit(std::function<void()> task);
 
-  /// Runs fn(index, slot) for every index in [0, n), distributing indices
-  /// across the workers, and blocks until all complete. Each slot id is
-  /// used by exactly one thread per call. The first exception thrown by
-  /// any invocation is rethrown here (remaining indices may be skipped).
+  /// Runs fn(index, slot) for every index in [0, n) and returns once all
+  /// have finished. Caller-participating: the calling thread claims indices
+  /// as slot 0 while up to min(size(), n) - 1 queued helpers claim the rest
+  /// as slots 1..; each slot id is used by exactly one thread per call. The
+  /// caller never waits for a helper to start, only for indices a helper
+  /// has already claimed, so a pool task may fan out on its own pool: on a
+  /// saturated pool it simply runs every index itself. Helpers that start
+  /// after the call returned find no index left and never touch `fn`. The
+  /// first exception thrown by any invocation (the caller's own included)
+  /// is rethrown here; indices not yet started are then skipped.
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t index,
                                             std::size_t slot)>& fn) const;

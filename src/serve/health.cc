@@ -33,8 +33,10 @@ HealthReport EvaluateHealth(const ServiceHealthStats& stats,
                             const HealthPolicy& policy) {
   HealthReport report;
   const ServiceCounters& c = stats.counters;
-  report.rounds_observed = c.localized_rounds;
-  report.warming_up = c.localized_rounds < policy.min_rounds;
+  // Dropped rounds count toward warm-up too: a service whose every Locate
+  // throws must read as degraded, not as warming up forever.
+  report.rounds_observed = c.localized_rounds + c.locate_errors;
+  report.warming_up = report.rounds_observed < policy.min_rounds;
 
   const auto add = [&report](std::string name, double value, double budget) {
     report.checks.push_back(
@@ -66,6 +68,8 @@ HealthReport EvaluateHealth(const ServiceHealthStats& stats,
       policy.max_gate_miss_ratio);
   add("fallback_ratio", Ratio(stats.search_fallbacks, c.localized_rounds),
       policy.max_fallback_ratio);
+  add("locate_error_ratio", Ratio(c.locate_errors, c.completed_rounds),
+      policy.max_locate_error_ratio);
 
   const double mean_depth =
       stats.shards.empty()

@@ -35,11 +35,14 @@ struct HealthPolicy {
   double max_gate_miss_ratio = 0.9;
   /// exhaustive fallbacks / localized rounds.
   double max_fallback_ratio = 0.5;
+  /// rounds dropped because Locate threw / completed rounds.
+  double max_locate_error_ratio = 0.01;
   /// max shard ring depth vs the mean depth (only judged when the mean is
   /// at least one frame — idle shards make any ratio meaningless).
   double max_shard_imbalance = 16.0;
-  /// Below this many localized rounds the verdict is "warming up": healthy,
-  /// with every check reported but none enforced.
+  /// Below this many rounds out of the engine (localized plus dropped by a
+  /// throwing Locate) the verdict is "warming up": healthy, with every check
+  /// reported but none enforced.
   std::uint64_t min_rounds = 64;
 };
 

@@ -23,6 +23,7 @@ struct LocalizationService::Metrics {
   obs::Counter& duplicates = obs::GetCounter("serve.duplicates");
   obs::Counter& completed = obs::GetCounter("serve.completed_rounds");
   obs::Counter& localized = obs::GetCounter("serve.localized_rounds");
+  obs::Counter& locate_errors = obs::GetCounter("serve.locate_errors");
   // Up/down gauges: paired Add/Sub stay exact even when metric recording is
   // toggled mid-run, and the built-in watermark keeps the old high-water
   // reading alongside (the _max series on /metrics).
@@ -89,7 +90,8 @@ void LocalizationService::Stop() {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
-  running_.store(false, std::memory_order_release);
+  running_.store(false);
+  WakeAssemblers();
   for (std::thread& t : assemblers_) t.join();
   assemblers_.clear();
 }
@@ -121,9 +123,14 @@ bool LocalizationService::Ingest(std::uint64_t tag_id,
   }
   frames_in_rings_.fetch_add(1, std::memory_order_release);
   shard.depth.fetch_add(1, std::memory_order_relaxed);
-  admitted_frames_.fetch_add(1, std::memory_order_relaxed);
+  // Sequentially consistent with the sleepers_ load below (and with the
+  // assembler's sleepers_ increment before its re-check in WaitForWork):
+  // either this frame is seen before the assembler sleeps, or the
+  // assembler is seen asleep here and woken.
+  admitted_frames_.fetch_add(1);
   metrics.admitted.Inc();
   metrics.ring_depth.Add(1);
+  if (sleepers_.load() > 0) WakeAssemblers();
   return true;
 }
 
@@ -173,6 +180,7 @@ ServiceCounters LocalizationService::Counters() const {
   c.expired_frames = expired_frames_.load(std::memory_order_relaxed);
   c.completed_rounds = completed_rounds_.load(std::memory_order_relaxed);
   c.localized_rounds = localized_rounds_.load(std::memory_order_relaxed);
+  c.locate_errors = locate_errors_.load(std::memory_order_relaxed);
   c.dropped_updates = dropped_updates_.load(std::memory_order_relaxed);
   c.sessions_expired = sessions_expired_.load(std::memory_order_relaxed);
   return c;
@@ -232,8 +240,11 @@ void LocalizationService::AssemblerLoop(std::size_t worker) {
   const std::uint64_t gc_period_ns = std::clamp<std::uint64_t>(
       static_cast<std::uint64_t>(options_.round_timeout.count()) / 4,
       5'000'000ull, 1'000'000'000ull);
-  std::size_t idle_passes = 0;
   while (running_.load(std::memory_order_acquire)) {
+    // Read before the pass: an event after this point changes a counter
+    // and keeps the wait below from sleeping through it.
+    const std::uint64_t frames_seen = admitted_frames_.load();
+    const std::uint64_t locates_seen = locates_done_.load();
     std::size_t work = 0;
     for (std::size_t s = worker; s < shards_.size();
          s += options_.assembler_threads) {
@@ -249,17 +260,27 @@ void LocalizationService::AssemblerLoop(std::size_t worker) {
       }
     }
     if (work == 0) {
-      // Nothing to do: yield a few passes (stay hot under bursty load),
-      // then sleep so an idle service costs ~nothing.
-      if (++idle_passes < 16) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    } else {
-      idle_passes = 0;
+      WaitForWork(frames_seen, locates_seen,
+                  std::chrono::nanoseconds(gc_period_ns));
     }
   }
+}
+
+void LocalizationService::WaitForWork(std::uint64_t frames_seen,
+                                      std::uint64_t locates_seen,
+                                      std::chrono::nanoseconds timeout) {
+  std::unique_lock lock(wake_mutex_);
+  sleepers_.fetch_add(1);
+  wake_cv_.wait_for(lock, timeout, [&] {
+    return admitted_frames_.load() != frames_seen ||
+           locates_done_.load() != locates_seen || !running_.load();
+  });
+  sleepers_.fetch_sub(1);
+}
+
+void LocalizationService::WakeAssemblers() {
+  std::lock_guard lock(wake_mutex_);
+  wake_cv_.notify_all();
 }
 
 std::size_t LocalizationService::DrainShardRing(std::size_t worker,
@@ -376,16 +397,20 @@ void LocalizationService::AdmitRound(std::size_t worker,
   metrics.inflight.Add(1);
   completed_rounds_.fetch_add(1, std::memory_order_relaxed);
   metrics.completed.Inc();
-  // The engine pool localizes on the existing workspace free list; with an
-  // inline pool (engine_threads = 1) this runs right here on the assembler.
-  node->done = engine_.LocateAsync(node->round, node->result);
+  // The engine pool localizes on the existing workspace free list, fanning
+  // the round's anchor maps out across idle workers; with an inline pool
+  // (engine_threads = 1) this runs right here on the assembler.
+  node->done = engine_.LocateAsync(node->round, node->result, [this] {
+    locates_done_.fetch_add(1);
+    if (sleepers_.load() > 0) WakeAssemblers();
+  });
   shard.inflight.push_back(std::move(node));
 }
 
 std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
   const Metrics& metrics = Metrics::Get();
   std::vector<PositionUpdate> callbacks;
-  std::size_t delivered = 0;
+  std::size_t retired = 0;
   {
     std::lock_guard lock(shard.mutex);
     // Front-first delivery keeps per-tag updates in round order even when
@@ -395,8 +420,24 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
                std::future_status::ready) {
       std::unique_ptr<InflightLocate> node = std::move(shard.inflight.front());
       shard.inflight.pop_front();
-      node->done.get();  // Locate does not throw; surfaces bugs loudly
+      ++retired;
       const std::uint64_t now = obs::NowNs();
+      const auto it = shard.sessions.find(node->tag_id);
+      TagSession* session = it == shard.sessions.end() ? nullptr : &it->second;
+      if (session != nullptr) {
+        session->inflight -= 1;
+        session->last_activity_ns = now;
+      }
+      try {
+        node->done.get();
+      } catch (...) {
+        // The round is lost, not the service: drop it, count it, and keep
+        // delivering this tag's later rounds and every other tag's.
+        locate_errors_.fetch_add(1, std::memory_order_relaxed);
+        metrics.locate_errors.Inc();
+        RecycleNode(std::move(node));
+        continue;
+      }
       const std::uint64_t latency_us =
           (now - node->first_ingest_ns) / 1000;
       metrics.e2e_latency_us.Record(latency_us);
@@ -418,11 +459,7 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
       update.result = std::move(node->result);
       update.latency_us = latency_us;
 
-      const auto it = shard.sessions.find(node->tag_id);
-      if (it != shard.sessions.end()) {
-        TagSession& session = it->second;
-        session.inflight -= 1;
-        session.last_activity_ns = now;
+      if (session != nullptr) {
         update.tracked_position = update.result.position;
         if (options_.track && update.result.anchors_used > 0) {
           // Round-ordered delivery (front-first FIFO) keeps the per-tag dt
@@ -430,31 +467,31 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
           // dt <= 0, which the tracker rejects rather than corrupting the
           // covariance.
           const double dt =
-              session.has_tracked_round
+              session->has_tracked_round
                   ? static_cast<double>(static_cast<std::int64_t>(
-                        update.round_id - session.last_tracked_round)) *
+                        update.round_id - session->last_tracked_round)) *
                         options_.round_period_s
                   : 0.0;
           update.fix_accepted =
-              session.tracker.Update(update.result.position, dt);
-          if (!session.has_tracked_round ||
+              session->tracker.Update(update.result.position, dt);
+          if (!session->has_tracked_round ||
               update.fix_accepted || dt > 0.0) {
-            session.last_tracked_round = update.round_id;
-            session.has_tracked_round = true;
+            session->last_tracked_round = update.round_id;
+            session->has_tracked_round = true;
           }
-          update.tracked_position = session.tracker.position();
-          update.velocity = session.tracker.velocity();
-        } else if (options_.track && session.tracker.initialized()) {
+          update.tracked_position = session->tracker.position();
+          update.velocity = session->tracker.velocity();
+        } else if (options_.track && session->tracker.initialized()) {
           // Empty round: report the last known track without advancing it.
-          update.tracked_position = session.tracker.position();
-          update.velocity = session.tracker.velocity();
+          update.tracked_position = session->tracker.position();
+          update.velocity = session->tracker.velocity();
         }
         if (!callback_) {
-          if (session.ready.size() >= options_.max_ready_updates) {
-            session.ready.pop_front();
+          if (session->ready.size() >= options_.max_ready_updates) {
+            session->ready.pop_front();
             dropped_updates_.fetch_add(1, std::memory_order_relaxed);
           }
-          session.ready.push_back(std::move(update));
+          session->ready.push_back(std::move(update));
         } else {
           callbacks.push_back(std::move(update));
         }
@@ -462,23 +499,18 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
         callbacks.push_back(std::move(update));
       }
       RecycleNode(std::move(node));
-      ++delivered;
     }
   }
   // Callbacks run outside the shard mutex: user code must be free to call
   // Poll()/Ingest() without deadlocking.
-  for (PositionUpdate& update : callbacks) {
-    callback_(update);
-    metrics.inflight.Sub(1);
-    inflight_locates_.fetch_sub(1, std::memory_order_release);
+  for (PositionUpdate& update : callbacks) callback_(update);
+  // The in-flight level drops only after the callbacks ran, so Drain()
+  // never reads zero while an update is still being delivered.
+  if (retired > 0) {
+    metrics.inflight.Sub(static_cast<std::int64_t>(retired));
+    inflight_locates_.fetch_sub(retired, std::memory_order_release);
   }
-  if (!callback_) {
-    for (std::size_t i = 0; i < delivered; ++i) {
-      metrics.inflight.Sub(1);
-      inflight_locates_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-  return delivered;
+  return retired;
 }
 
 void LocalizationService::CollectGarbage(TagSessionShard& shard,

@@ -21,8 +21,13 @@
 //    rings, which refuses producers — backpressure end to end), and
 //    round-timeout GC expires partial rounds from lossy anchors.
 //
+// Per-round failures are contained: a round whose Locate throws (say, a
+// malformed report from one anchor) is dropped and counted in
+// serve.locate_errors; every other round, the same tag's included, is
+// still delivered.
+//
 // Registry metrics (obs/metrics.h): serve.{admitted,refused,shed,expired,
-// duplicate,completed,localized} counters, serve.ring_depth and
+// duplicate,completed,localized,locate_errors} counters, serve.ring_depth and
 // serve.inflight_locates up/down gauges (exact levels + high watermarks),
 // and the serve.e2e_latency_us histogram that the soak bench's p50/p99/p999
 // SLO gates read. HealthStats() adds per-shard rolling-latency windows and
@@ -31,6 +36,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -53,8 +59,10 @@ struct ServiceOptions {
   /// Assembler threads draining the rings (shard k belongs to thread
   /// k % assembler_threads). One is right on small machines.
   std::size_t assembler_threads = 1;
-  /// LocalizationEngine pool threads (0 = hardware_concurrency).
-  std::size_t engine_threads = 1;
+  /// LocalizationEngine pool threads (0 = hardware_concurrency). Each
+  /// round's per-anchor maps fan out across the pool, so below saturation
+  /// a fix takes about one anchor map's time rather than all of them.
+  std::size_t engine_threads = 0;
   /// Max rounds under assembly per tag before the shed policy applies.
   std::size_t max_assembling_rounds = 16;
   /// Max completed rounds in the engine at once (0 = 4x engine pool size).
@@ -90,6 +98,7 @@ struct ServiceCounters {
   std::uint64_t expired_frames = 0;    // frames inside expired/shed rounds
   std::uint64_t completed_rounds = 0;  // assembled and admitted to the engine
   std::uint64_t localized_rounds = 0;  // results delivered downstream
+  std::uint64_t locate_errors = 0;     // rounds dropped: Locate threw
   std::uint64_t dropped_updates = 0;   // Poll backlog overflow
   std::uint64_t sessions_expired = 0;  // idle sessions erased
 };
@@ -184,6 +193,12 @@ class LocalizationService : public net::MessageSink {
   struct Metrics;  // registry handles (service.cc)
 
   void AssemblerLoop(std::size_t worker);
+  /// Sleeps until a frame is admitted or a locate completes after the
+  /// given counter readings, the service stops, or `timeout` passes.
+  void WaitForWork(std::uint64_t frames_seen, std::uint64_t locates_seen,
+                   std::chrono::nanoseconds timeout);
+  /// Wakes the sleeping assemblers, if any.
+  void WakeAssemblers();
   /// Pops up to one batch from the shard ring and assembles. Returns the
   /// number of frames consumed.
   std::size_t DrainShardRing(std::size_t worker, TagSessionShard& shard);
@@ -198,8 +213,9 @@ class LocalizationService : public net::MessageSink {
   void AdmitRound(std::size_t worker, TagSessionShard& shard,
                   std::unique_lock<std::mutex>& lock, std::uint64_t tag_id,
                   std::uint64_t round_id, AssemblingRound&& round);
-  /// Delivers every ready completion at the front of the shard's FIFO.
-  /// Returns the number delivered. Callbacks run outside the mutex.
+  /// Retires every ready completion at the front of the shard's FIFO:
+  /// delivers its update, or drops and counts the round when its Locate
+  /// threw. Returns the number retired. Callbacks run outside the mutex.
   std::size_t SweepCompletions(TagSessionShard& shard);
   /// Round-timeout and idle-session GC over one shard.
   void CollectGarbage(TagSessionShard& shard, std::uint64_t now_ns);
@@ -208,6 +224,14 @@ class LocalizationService : public net::MessageSink {
   void RecycleNode(std::unique_ptr<InflightLocate> node);
 
   ServiceOptions options_;
+
+  /// Idle assemblers sleep on wake_cv_. Declared before engine_ so they
+  /// outlive the pool, whose workers notify after each locate.
+  std::mutex wake_mutex_;
+  std::condition_variable wake_cv_;
+  std::atomic<std::size_t> sleepers_{0};
+  std::atomic<std::uint64_t> locates_done_{0};
+
   core::LocalizationEngine engine_;
   std::vector<std::unique_ptr<TagSessionShard>> shards_;
 
@@ -234,6 +258,7 @@ class LocalizationService : public net::MessageSink {
   std::atomic<std::uint64_t> expired_frames_{0};
   std::atomic<std::uint64_t> completed_rounds_{0};
   std::atomic<std::uint64_t> localized_rounds_{0};
+  std::atomic<std::uint64_t> locate_errors_{0};
   std::atomic<std::uint64_t> dropped_updates_{0};
   std::atomic<std::uint64_t> sessions_expired_{0};
 

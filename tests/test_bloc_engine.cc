@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+#include <vector>
+
 #include "bloc/engine.h"
 #include "sim/experiment.h"
 
@@ -58,6 +64,58 @@ TEST(LocalizationEngine, PerAnchorParallelLocateMatchesSerial) {
     ExpectIdentical(four.Locate(Rounds().rounds[i]),
                     serial.Locate(Rounds().rounds[i]));
   }
+}
+
+TEST(LocalizationEngine, BatchSmallerThanPoolFansOutBitIdentical) {
+  const Localizer serial(Rounds().deployment, Config());
+  LocalizationEngine four(Rounds().deployment, Config(), {.threads = 4});
+  // Two rounds on four threads: each round's maps fan out over the pool.
+  const auto results = four.LocateBatch(std::span(Rounds().rounds).first(2));
+  ASSERT_EQ(results.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ExpectIdentical(results[i], serial.Locate(Rounds().rounds[i]));
+  }
+}
+
+TEST(LocalizationEngine, LocateAsyncFansOutBitIdenticalToSerial) {
+  const Localizer serial(Rounds().deployment, Config());
+  const std::size_t n = Rounds().rounds.size();
+  std::vector<LocationResult> results(n);
+  std::atomic<std::size_t> ready{0};  // outlives the engine's workers
+  LocalizationEngine four(Rounds().deployment, Config(), {.threads = 4});
+  // One round alone fans its maps out over idle workers; then every round
+  // at once saturates the pool, so most rounds compute their own maps.
+  four.LocateAsync(Rounds().rounds[0], results[0], [&] { ++ready; }).get();
+  std::vector<std::future<void>> pending;
+  for (std::size_t i = 1; i < n; ++i) {
+    pending.push_back(
+        four.LocateAsync(Rounds().rounds[i], results[i], [&] { ++ready; }));
+  }
+  for (auto& f : pending) f.get();
+  for (std::size_t i = 0; i < n; ++i) {
+    ExpectIdentical(results[i], serial.Locate(Rounds().rounds[i]));
+  }
+  // on_ready runs after the future resolves, so wait for the last ones.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ready.load() < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(ready.load(), n);
+}
+
+TEST(LocalizationEngine, LocateAsyncFutureCarriesLocateErrors) {
+  LocalizationEngine engine(Rounds().deployment, Config(), {.threads = 4});
+  net::MeasurementRound round = Rounds().rounds[0];
+  const std::size_t victim = round.reports[0].is_master ? 1 : 0;
+  round.reports[victim].bands.back().tag_csi.pop_back();  // truncated CSI
+  LocationResult out;
+  EXPECT_ANY_THROW(engine.LocateAsync(round, out).get());
+  // The engine keeps serving: its workspace went back to the free list.
+  LocationResult ok;
+  engine.LocateAsync(Rounds().rounds[1], ok).get();
+  ExpectIdentical(ok, Localizer(Rounds().deployment, Config())
+                          .Locate(Rounds().rounds[1]));
 }
 
 TEST(LocalizationEngine, WorkspaceReuseDoesNotLeakStateAcrossRounds) {

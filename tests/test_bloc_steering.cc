@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "bloc/engine.h"
 #include "bloc/steering_plan.h"
@@ -163,6 +167,101 @@ TEST(SteeringPlanCache, BuildsOncePerKey) {
   other.resolution = 0.5;
   cache.GetOrBuild(MakeSteeringPlanKey(s.Input(), other));
   EXPECT_EQ(cache.builds(), 2u);
+}
+
+TEST(SteeringPlanCache, ConcurrentLookupsOfOneKeyBuildOnce) {
+  std::mt19937 rng(23);
+  const RandomScene s = MakeRandomScene(rng);
+  SteeringPlanCache cache;
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const SteeringPlan>> plans(kThreads);
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++arrived;
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      // Both lookup paths share one in-progress entry per key.
+      plans[t] = t % 2 == 0
+                     ? cache.GetOrBuild(s.Input(), s.grid)
+                     : cache.GetOrBuild(MakeSteeringPlanKey(s.Input(), s.grid));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(cache.builds(), 1u);
+  EXPECT_EQ(cache.lookups(), kThreads);
+  for (const auto& plan : plans) EXPECT_EQ(plan.get(), plans[0].get());
+}
+
+TEST(SteeringPlanCache, DistinctKeysBuildConcurrentlyAndCountExactly) {
+  std::mt19937 rng(29);
+  std::vector<RandomScene> scenes;
+  for (int i = 0; i < 4; ++i) scenes.push_back(MakeRandomScene(rng));
+  SteeringPlanCache cache;
+  std::vector<std::thread> threads;
+  for (int round = 0; round < 3; ++round) {
+    for (const RandomScene& s : scenes) {
+      threads.emplace_back(
+          [&cache, &s] { cache.GetOrBuild(s.Input(), s.grid); });
+    }
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(cache.builds(), scenes.size());
+  EXPECT_EQ(cache.lookups(), 3 * scenes.size());
+}
+
+TEST(SteeringPlanCache, FailedBuildRethrowsAndLeavesNoEntry) {
+  std::mt19937 rng(31);
+  const RandomScene s = MakeRandomScene(rng);
+  SteeringPlanKey bad = MakeSteeringPlanKey(s.Input(), s.grid);
+  bad.antennas.clear();  // SteeringPlan rejects a key without antennas
+  SteeringPlanCache cache;
+  EXPECT_THROW(cache.GetOrBuild(bad), std::invalid_argument);
+  // No stale in-progress entry: the next lookup builds (and fails) again.
+  EXPECT_THROW(cache.GetOrBuild(bad), std::invalid_argument);
+  EXPECT_EQ(cache.builds(), 0u);
+  EXPECT_EQ(cache.GetOrBuild(s.Input(), s.grid)->num_antennas(),
+            s.geometry.num_antennas);
+  EXPECT_EQ(cache.builds(), 1u);
+}
+
+TEST(SteeringPlanCache, NaNKeyRetiresOnlyItsOwnBuild) {
+  // Frames carry their band frequencies unchecked, so a malformed report can
+  // give a key whose comb_f0 is NaN — a key unequal to itself. Its build
+  // must retire its own in-progress entry, not the build of another key
+  // still in flight.
+  std::mt19937 rng(37);
+  RandomScene nan_scene = MakeRandomScene(rng);
+  nan_scene.grid.resolution = 0.1;  // ~3k cells: the shorter build
+  SteeringPlanKey nan_key =
+      MakeSteeringPlanKey(nan_scene.Input(), nan_scene.grid);
+  nan_key.comb_f0 = std::numeric_limits<double>::quiet_NaN();
+  RandomScene slow = MakeRandomScene(rng);
+  slow.grid.resolution = 0.02;  // ~75k cells: usually still building when
+                                // the NaN build retires
+  SteeringPlanCache cache;
+
+  // lookups() reads under the cache mutex, and a lookup's count and its
+  // in-progress entry are published together, so each wait below returns
+  // once that build is registered.
+  std::thread nan_builder([&] { cache.GetOrBuild(nan_key); });
+  while (cache.lookups() < 1) std::this_thread::yield();
+  std::shared_ptr<const SteeringPlan> first;
+  std::thread slow_builder(
+      [&] { first = cache.GetOrBuild(slow.Input(), slow.grid); });
+  while (cache.lookups() < 2) std::this_thread::yield();
+  nan_builder.join();
+  // The slow key's build is found in flight (or resident): no second build.
+  const auto second = cache.GetOrBuild(slow.Input(), slow.grid);
+  slow_builder.join();
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.GetOrBuild(slow.Input(), slow.grid).get(), first.get());
+  EXPECT_EQ(cache.builds(), 2u);
+  // A NaN key never hits, so looking it up again builds again.
+  cache.GetOrBuild(nan_key);
+  EXPECT_EQ(cache.builds(), 3u);
+  EXPECT_EQ(cache.lookups(), 5u);
 }
 
 /// The acceptance-criteria amortization check: after the first round the

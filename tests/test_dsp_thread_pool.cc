@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -151,6 +153,143 @@ TEST(ThreadPool, QueueDepthReturnsToZero) {
   }
   for (auto& f : futures) f.get();
   // Every future resolved, so every task was popped from the queue.
+  EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
+/// Parks every worker of `pool` until the returned promise is set, so
+/// queued helpers cannot start before the test lets them.
+std::promise<void> BlockWorkers(ThreadPool& pool,
+                                std::vector<std::future<void>>& parked) {
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<std::size_t> started{0};
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    parked.push_back(pool.Submit([gate, &started] {
+      ++started;
+      gate.wait();
+    }));
+  }
+  while (started.load() < pool.size()) std::this_thread::yield();
+  return release;
+}
+
+/// Waits (bounded) until every accepted task has retired.
+bool Balanced(const ThreadPool& pool) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool.tasks_completed() != pool.tasks_submitted()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, NestedParallelForOnSaturatedPoolCompletes) {
+  // Every worker runs a Submit task that fans out on the same pool: with a
+  // ParallelFor that only waited for its helpers this deadlocks, because
+  // the helpers queue behind tasks that are themselves waiting.
+  auto pool = std::make_unique<ThreadPool>(4);
+  constexpr std::size_t kTasks = 16;
+  constexpr std::size_t kInner = 8;
+  std::vector<std::atomic<int>> hits(kTasks * kInner);
+  std::vector<std::future<void>> futures;
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    futures.push_back(pool->Submit([&, t] {
+      pool->ParallelFor(kInner, [&, t](std::size_t i, std::size_t slot) {
+        EXPECT_LT(slot, pool->size());
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ++hits[t * kInner + i];
+      });
+    }));
+  }
+  for (auto& f : futures) {
+    if (f.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+      pool.release();  // deadlocked: joining the workers would hang
+      FAIL() << "nested ParallelFor deadlocked";
+    }
+    f.get();
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_TRUE(Balanced(*pool));
+}
+
+TEST(ThreadPool, ParallelForCallerRunsEveryIndexWhenWorkersAreBusy) {
+  ThreadPool pool(4);
+  std::vector<std::future<void>> parked;
+  std::promise<void> release = BlockWorkers(pool, parked);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t ran = 0;
+  pool.ParallelFor(6, [&](std::size_t, std::size_t slot) {
+    EXPECT_EQ(slot, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++ran;
+  });
+  EXPECT_EQ(ran, 6u);
+  release.set_value();
+  for (auto& f : parked) f.get();
+}
+
+TEST(ThreadPool, LateHelperNeverTouchesFn) {
+  // The helpers queue behind parked workers and start only after
+  // ParallelFor returned and `fn` was destroyed. They must find no index
+  // left; touching `fn` would be a use-after-free (caught under ASan) and
+  // would bump the count.
+  std::atomic<int> calls{0};
+  {
+    ThreadPool pool(3);
+    std::vector<std::future<void>> parked;
+    std::promise<void> release = BlockWorkers(pool, parked);
+    {
+      auto fn = std::make_unique<std::function<void(std::size_t, std::size_t)>>(
+          [&calls](std::size_t, std::size_t) { ++calls; });
+      pool.ParallelFor(5, *fn);
+    }  // fn freed while both helpers are still queued
+    EXPECT_EQ(calls.load(), 5);
+    EXPECT_EQ(pool.queue_depth(), 2u);
+    release.set_value();
+    for (auto& f : parked) f.get();
+    EXPECT_TRUE(Balanced(pool));  // the late helpers ran and retired
+  }
+  EXPECT_EQ(calls.load(), 5);
+}
+
+TEST(ThreadPool, ParallelForPropagatesExceptionFromCallersOwnIndex) {
+  ThreadPool pool(4);
+  std::vector<std::future<void>> parked;
+  std::promise<void> release = BlockWorkers(pool, parked);
+  // The workers are parked, so the caller runs the indices and the throw
+  // happens on its own thread, as slot 0.
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.ParallelFor(8,
+                                [&](std::size_t i, std::size_t slot) {
+                                  EXPECT_EQ(slot, 0u);
+                                  ++ran;
+                                  if (i == 2) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 3);  // later indices are skipped after the failure
+  release.set_value();
+  for (auto& f : parked) f.get();
+  EXPECT_TRUE(Balanced(pool));
+}
+
+TEST(ThreadPool, NestedFanOutKeepsTheBooksBalanced) {
+  ThreadPool pool(3);
+  std::vector<std::future<void>> futures;
+  for (int t = 0; t < 12; ++t) {
+    futures.push_back(pool.Submit([&pool] {
+      pool.ParallelFor(5, [](std::size_t, std::size_t) {});
+    }));
+  }
+  pool.ParallelFor(7, [](std::size_t, std::size_t) {});
+  for (auto& f : futures) f.get();
+  // Once quiescent, every Submit task, every helper (late ones included)
+  // and every caller share has retired.
+  EXPECT_TRUE(Balanced(pool));
+  EXPECT_EQ(pool.tasks_submitted(), pool.tasks_completed());
+  EXPECT_GE(pool.tasks_submitted(), 12u + 12u + 1u);
   EXPECT_EQ(pool.queue_depth(), 0u);
 }
 

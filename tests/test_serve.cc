@@ -4,6 +4,7 @@
 // serial engine path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -176,38 +177,44 @@ TEST(LocalizationService, ShardCountRoundsUpAndHashesSpread) {
 }
 
 TEST(LocalizationService, PositionsBitIdenticalToSerialEngineViaPoll) {
-  ServiceOptions options;
-  options.shards = 4;
-  LocalizationService service(Rounds().deployment, Config(), options);
-  service.Start();
+  // One engine thread runs each round inline on the assembler (on_ready
+  // fires under the shard lock); four fan every round's maps out.
+  for (const std::size_t engine_threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "engine_threads=" << engine_threads);
+    ServiceOptions options;
+    options.shards = 4;
+    options.engine_threads = engine_threads;
+    LocalizationService service(Rounds().deployment, Config(), options);
+    service.Start();
 
-  constexpr std::size_t kTags = 6;
-  constexpr std::size_t kRoundsPerTag = 3;
-  const std::size_t n = Rounds().rounds.size();
-  for (std::uint64_t k = 0; k < kRoundsPerTag; ++k) {
-    for (std::uint64_t t = 0; t < kTags; ++t) {
-      SendRound(service, t, (t + k) % n, k);
-    }
-  }
-  ASSERT_TRUE(service.Drain(kDrain));
-
-  for (std::uint64_t t = 0; t < kTags; ++t) {
+    constexpr std::size_t kTags = 6;
+    constexpr std::size_t kRoundsPerTag = 3;
+    const std::size_t n = Rounds().rounds.size();
     for (std::uint64_t k = 0; k < kRoundsPerTag; ++k) {
-      const auto update = service.Poll(t);
-      ASSERT_TRUE(update.has_value()) << "tag " << t << " round " << k;
-      EXPECT_EQ(update->tag_id, t);
-      EXPECT_EQ(update->round_id, k) << "per-tag round order violated";
-      ExpectIdentical(update->result, Reference()[(t + k) % n]);
+      for (std::uint64_t t = 0; t < kTags; ++t) {
+        SendRound(service, t, (t + k) % n, k);
+      }
     }
-    EXPECT_FALSE(service.Poll(t).has_value());
-  }
+    ASSERT_TRUE(service.Drain(kDrain));
 
-  const ServiceCounters counters = service.Counters();
-  EXPECT_EQ(counters.localized_rounds, kTags * kRoundsPerTag);
-  EXPECT_EQ(counters.duplicate_frames, 0u);
-  EXPECT_EQ(counters.shed_rounds, 0u);
-  EXPECT_EQ(counters.expired_rounds, 0u);
-  service.Stop();
+    for (std::uint64_t t = 0; t < kTags; ++t) {
+      for (std::uint64_t k = 0; k < kRoundsPerTag; ++k) {
+        const auto update = service.Poll(t);
+        ASSERT_TRUE(update.has_value()) << "tag " << t << " round " << k;
+        EXPECT_EQ(update->tag_id, t);
+        EXPECT_EQ(update->round_id, k) << "per-tag round order violated";
+        ExpectIdentical(update->result, Reference()[(t + k) % n]);
+      }
+      EXPECT_FALSE(service.Poll(t).has_value());
+    }
+
+    const ServiceCounters counters = service.Counters();
+    EXPECT_EQ(counters.localized_rounds, kTags * kRoundsPerTag);
+    EXPECT_EQ(counters.duplicate_frames, 0u);
+    EXPECT_EQ(counters.shed_rounds, 0u);
+    EXPECT_EQ(counters.expired_rounds, 0u);
+    service.Stop();
+  }
 }
 
 TEST(LocalizationService, PositionStreamCarriesTheTrack) {
@@ -485,6 +492,73 @@ TEST(LocalizationService, EngineAdmissionBoundStallsWithoutDeadlock) {
     ExpectIdentical(update->result, Reference()[t % n]);
   }
   EXPECT_EQ(service.InflightLocates(), 0u);
+  service.Stop();
+}
+
+TEST(LocalizationService, DefaultEngineUsesEveryCore) {
+  LocalizationService service(Rounds().deployment, Config(), {});
+  EXPECT_EQ(service.engine().threads(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+}
+
+TEST(LocalizationService, LocateErrorDropsTheRoundAndKeepsServing) {
+  ServiceOptions options;
+  options.shards = 2;
+  options.engine_threads = 4;
+  LocalizationService service(Rounds().deployment, Config(), options);
+  service.Start();
+
+  // Tag 50's round 0 carries one truncated tag_csi vector, so its Locate
+  // throws on an engine worker. The round must be dropped and counted; the
+  // process, the tag's next round and every other tag carry on.
+  constexpr std::uint64_t kBadTag = 50;
+  const auto& reports = Rounds().rounds[0].reports;
+  const std::size_t victim = (MasterReportIndex(0) + 1) % reports.size();
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    anchor::CsiReport frame = FrameFor(0, i, 0);
+    if (i == victim) frame.bands.back().tag_csi.pop_back();
+    ASSERT_TRUE(service.Ingest(kBadTag, std::move(frame)));
+  }
+  SendRound(service, kBadTag, 1, 1);
+  for (std::uint64_t t = 0; t < 4; ++t) SendRound(service, t, t, 0);
+  ASSERT_TRUE(service.Drain(kDrain));
+
+  const ServiceCounters counters = service.Counters();
+  EXPECT_EQ(counters.locate_errors, 1u);
+  EXPECT_EQ(counters.completed_rounds, 6u);
+  EXPECT_EQ(counters.localized_rounds, 5u);
+  EXPECT_EQ(service.InflightLocates(), 0u);
+  const auto next = service.Poll(kBadTag);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->round_id, 1u);
+  ExpectIdentical(next->result, Reference()[1]);
+  EXPECT_FALSE(service.Poll(kBadTag).has_value());
+  for (std::uint64_t t = 0; t < 4; ++t) {
+    const auto update = service.Poll(t);
+    ASSERT_TRUE(update.has_value());
+    ExpectIdentical(update->result, Reference()[t]);
+  }
+  service.Stop();
+}
+
+TEST(LocalizationService, IdleAssemblerWakesOnIngestNotOnTheGcTimer) {
+  ServiceOptions options;
+  options.round_timeout = std::chrono::seconds(8);  // GC period: 1 s
+  LocalizationService service(Rounds().deployment, Config(), options);
+  std::atomic<std::uint64_t> delivered{0};
+  service.SetUpdateCallback([&](const PositionUpdate&) { ++delivered; });
+  service.Start();
+  SendRound(service, 1, 0, 0);  // warm-up: builds the steering plans
+  ASSERT_TRUE(WaitFor([&] { return delivered.load() == 1; }));
+
+  // Idle long enough for the assembler to go to sleep, then one round: it
+  // must be picked up by the ingest wake, not by the 1 s GC timeout.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  SendRound(service, 1, 1, 1);
+  ASSERT_TRUE(WaitFor([&] { return delivered.load() == 2; }));
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
   service.Stop();
 }
 

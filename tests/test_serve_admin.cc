@@ -104,6 +104,37 @@ TEST(EvaluateHealth, DegradedOnShedRatio) {
   EXPECT_TRUE(found);
 }
 
+TEST(EvaluateHealth, DegradedOnLocateErrorRatio) {
+  ServiceHealthStats stats = HealthyStats();
+  stats.counters.locate_errors = 20;  // 2% of completed > 1% budget
+  const HealthReport report = EvaluateHealth(stats);
+  EXPECT_FALSE(report.healthy);
+  bool found = false;
+  for (const HealthCheck& check : report.checks) {
+    if (check.name == "locate_error_ratio") {
+      EXPECT_FALSE(check.ok);
+      EXPECT_DOUBLE_EQ(check.value, 0.02);
+      found = true;
+    } else {
+      EXPECT_TRUE(check.ok) << check.name;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(EvaluateHealth, ServiceThatOnlyFailsIsNotWarmingUp) {
+  // Every Locate threw: nothing was delivered, but the rounds the engine
+  // dropped end the warm-up, so the verdict is degraded rather than warming.
+  ServiceHealthStats stats = HealthyStats();
+  stats.counters.localized_rounds = 0;
+  stats.counters.locate_errors = stats.counters.completed_rounds;
+  stats.shards[0].localized_rounds = 0;
+  const HealthReport report = EvaluateHealth(stats);
+  EXPECT_FALSE(report.warming_up);
+  EXPECT_EQ(report.rounds_observed, 1000u);
+  EXPECT_FALSE(report.healthy);
+}
+
 TEST(EvaluateHealth, ImbalanceJudgedOnlyUnderLoad) {
   ServiceHealthStats stats = HealthyStats();
   // 31 extra idle shards: one shard with a couple of queued frames gives a
