@@ -166,7 +166,7 @@ class CoarseToFineSearch final : public SearchStrategy {
     const std::size_t n_anchors = ws.fuse_order.size();
     s.stats.fallback_reason = FallbackReason::kConfig;
     if (n_anchors == 0) return false;
-    // Subset evaluation needs precomputed rotors; the reference kernel has
+    // Subset evaluation needs a steering plan; the reference kernel has
     // none, and stride 1 has nothing to prune.
     if (cfg.spectra.kernel != LikelihoodKernel::kSteeringPlan) return false;
     if (sc.coarse_stride < 2 || sc.bound_inflation < 1.0) return false;
@@ -178,7 +178,6 @@ class CoarseToFineSearch final : public SearchStrategy {
     SpectraWorkspace& sws = ws.spectra[0];
 
     // --- Coarse level: exact fine-grid samples, one per block. ---
-    std::vector<SpectraInput> inputs(n_anchors);
     std::vector<std::shared_ptr<const SteeringPlan>> plans(n_anchors);
     std::shared_ptr<const SteeringLevel> level;
     // The coarse span/timer cover sampling through survivor selection; they
@@ -187,10 +186,14 @@ class CoarseToFineSearch final : public SearchStrategy {
     coarse_span.emplace("search.coarse", "bloc");
     std::optional<obs::ScopedTimer> coarse_timer;
     coarse_timer.emplace(metrics.search_coarse_us);
+    // Each anchor's band table is built once here and serves every subset
+    // evaluation below (coarse samples, refine spans, max descent).
+    if (s.tables.size() < n_anchors) s.tables.resize(n_anchors);
     for (std::size_t i = 0; i < n_anchors; ++i) {
-      inputs[i] = loc.SpectraInputFor(ws.corrected, ws.fuse_order[i]);
-      plans[i] = loc.plan_cache().GetOrBuild(inputs[i], cfg.grid,
-                                             sws.comb_step);
+      const SpectraInput input =
+          loc.SpectraInputFor(ws.corrected, ws.fuse_order[i]);
+      plans[i] = loc.plan_cache().GetOrBuild(input, cfg.grid, sws.comb_step);
+      BuildBandTable(input, *plans[i], s.tables[i], sws);
       if (i == 0) level = plans[i]->Level(sc.coarse_stride);
     }
     const std::size_t nb = level->num_blocks();
@@ -279,8 +282,8 @@ class CoarseToFineSearch final : public SearchStrategy {
       }
       s.cand_values.resize(s.cand_cells.size());
       for (std::size_t i = 0; i < n_anchors; ++i) {
-        JointLikelihoodCellsInto(inputs[i], *plans[i], s.cand_cells,
-                                 s.cand_values.data(), sws);
+        JointLikelihoodCellsInto(*plans[i], s.tables[i], s.cand_cells,
+                                 s.cand_values.data());
         double* row = s.coarse.data() + i * nb;
         for (std::size_t t = 0; t < s.cand.size(); ++t) {
           row[s.cand[t]] = s.cand_values[t];
@@ -290,8 +293,8 @@ class CoarseToFineSearch final : public SearchStrategy {
     } else {
       s.coarse.resize(n_anchors * nb);
       for (std::size_t i = 0; i < n_anchors; ++i) {
-        JointLikelihoodCellsInto(inputs[i], *plans[i], level->sample_cells,
-                                 s.coarse.data() + i * nb, sws);
+        JointLikelihoodCellsInto(*plans[i], s.tables[i], level->sample_cells,
+                                 s.coarse.data() + i * nb);
       }
       s.stats.cells_evaluated += n_anchors * nb;
     }
@@ -392,8 +395,8 @@ class CoarseToFineSearch final : public SearchStrategy {
 
     // --- Turn the survivor blocks into contiguous row runs. Adjacent
     // survivor blocks in a block row merge into one span per fine row, so
-    // the refine kernel reads the plan's rotors in place (dense walk, no
-    // gather) — the per-cell refine cost matches the exhaustive kernel. ---
+    // the refine kernel streams the plan's terms in place, as the
+    // exhaustive kernel does. ---
     const std::size_t stride = sc.coarse_stride;
     const std::size_t fine_cols = level->fine_cols;
     s.spans.clear();
@@ -425,10 +428,8 @@ class CoarseToFineSearch final : public SearchStrategy {
           const auto begin =
               static_cast<std::uint32_t>(row * fine_cols + col0);
           const auto end = static_cast<std::uint32_t>(row * fine_cols + col1);
-          // Merge with the previous span when the gap is small: evaluating
-          // a few extra exact cells is cheaper than dropping the walk
-          // kernel out of its wide vector blocks (fragmented short spans
-          // cost ~2.4x per cell). Gap cells are exact fine-grid values like
+          // Merge with the previous span when the gap is small, keeping
+          // the span list short. Gap cells are exact fine-grid values like
           // any other refined cell, so correctness is untouched. Exact
           // contiguity (gap 0) chains full-width runs across rows.
           constexpr std::uint32_t kMergeGap = 8;
@@ -465,8 +466,8 @@ class CoarseToFineSearch final : public SearchStrategy {
     double* fused_data = fused.data().data();
     s.values.resize(span_cells);
     for (std::size_t i = 0; i < n_anchors; ++i) {
-      JointLikelihoodSpansInto(inputs[i], *plans[i], s.spans,
-                               s.values.data(), sws);
+      JointLikelihoodSpansInto(*plans[i], s.tables[i], s.spans,
+                               s.values.data());
       s.stats.cells_evaluated += span_cells;
       if (!CheckSpanBounds(s.spans, s.values, s.bound.data() + i * nb,
                            stride, level->bcols, fine_cols)) {
@@ -480,8 +481,8 @@ class CoarseToFineSearch final : public SearchStrategy {
       // survivor set. False means a bound was caught lying.
       double m = std::max(*std::max_element(s.values.begin(), s.values.end()),
                           s.anchor_max[i]);
-      if (!ExactAnchorMax(inputs[i], *plans[i], *level,
-                          s.bound.data() + i * nb, s, m, sws)) {
+      if (!ExactAnchorMax(*plans[i], s.tables[i], *level,
+                          s.bound.data() + i * nb, s, m)) {
         s.stats.fallback_reason = FallbackReason::kBoundViolation;
         return false;
       }
@@ -581,9 +582,9 @@ class CoarseToFineSearch final : public SearchStrategy {
     return true;
   }
 
-  /// Blocks per JointLikelihoodCellsInto batch of the M_i descent: enough
-  /// to amortize the per-call comb build, small enough that a freshly
-  /// raised running max prunes the rest of the list before it is evaluated.
+  /// Blocks per JointLikelihoodCellsInto batch of the M_i descent: small
+  /// enough that a freshly raised running max prunes the rest of the list
+  /// before it is evaluated.
   static constexpr std::size_t kDescentBatchBlocks = 16;
 
   /// Branch-and-bound exact per-anchor maximum. On entry `m` is a certified
@@ -602,11 +603,10 @@ class CoarseToFineSearch final : public SearchStrategy {
   /// Returns false when an evaluated cell exceeds its own block's bound
   /// (the same canary as CheckSpanBounds): the bounds cannot be trusted,
   /// so the round must fall back to the exhaustive path.
-  static bool ExactAnchorMax(const SpectraInput& input,
-                             const SteeringPlan& plan,
+  static bool ExactAnchorMax(const SteeringPlan& plan,
+                             const BandTable& table,
                              const SteeringLevel& level, const double* bound,
-                             SearchScratch& s, double& m,
-                             SpectraWorkspace& sws) {
+                             SearchScratch& s, double& m) {
     const std::size_t nb = level.num_blocks();
     s.cand.clear();
     for (std::size_t b = 0; b < nb; ++b) {
@@ -633,8 +633,8 @@ class CoarseToFineSearch final : public SearchStrategy {
       }
       if (s.cand_cells.empty()) break;
       s.cand_values.resize(s.cand_cells.size());
-      JointLikelihoodCellsInto(input, plan, s.cand_cells,
-                               s.cand_values.data(), sws);
+      JointLikelihoodCellsInto(plan, table, s.cand_cells,
+                               s.cand_values.data());
       s.stats.cells_evaluated += s.cand_cells.size();
       for (std::size_t t = 0; t < s.cand_values.size(); ++t) {
         if (s.cand_values[t] > bound[s.cand_cell_block[t]]) return false;

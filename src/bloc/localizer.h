@@ -90,6 +90,9 @@ struct SearchScratch {
   std::vector<double> fused_coarse;  // [b] fused coarse samples and bounds
   std::vector<double> anchor_max;  // [i] exact per-anchor fine maximum M_i
   std::vector<double> values;      // per-anchor refined magnitudes
+  /// [i] anchor i's band table (BuildBandTable), built once per round and
+  /// shared by every subset evaluation of that anchor.
+  std::vector<BandTable> tables;
   std::vector<std::uint8_t> block_flag;  // 0 pruned, 1 core, 2 halo
   /// Survivor cells as contiguous row runs (see JointLikelihoodSpansInto);
   /// `values` holds the spans' kernel output concatenated in order.

@@ -8,11 +8,12 @@
 // illustrations.
 //
 // Two kernels evaluate Eq. 17. The reference kernel (JointLikelihoodMapInto
-// without a plan) recomputes distances and rotors per cell; the steering-plan
-// kernel (bloc/steering_plan.h) reads them from a precomputed SteeringPlan
-// and reduces steady-state work to a vectorized complex MAC. Outputs agree
-// cell-for-cell; the reference kernel stays selectable via SpectraConfig for
-// parity testing.
+// without a plan) recomputes distances and walks the band comb per cell; the
+// steering-plan kernel (bloc/steering_plan.h) factors each band sum into a
+// precomputed base rotor times a per-round table of the comb's band sum,
+// interpolated per cell. The two agree to within 1e-6 of the map peak and
+// select the same positions; the reference kernel stays selectable via
+// SpectraConfig as the accuracy oracle.
 #pragma once
 
 #include <span>
@@ -47,7 +48,7 @@ struct SpectraInput {
 
 /// Which Eq. 17 implementation the localizer runs.
 enum class LikelihoodKernel {
-  /// Precomputed steering plan + split-complex MAC (the default).
+  /// Precomputed steering plan + per-round band table (the default).
   kSteeringPlan,
   /// Per-cell sqrt/sincos naive loop; kept for parity testing.
   kReference,
@@ -107,10 +108,16 @@ struct SpectraConfig {
   SearchConfig search;
 };
 
+/// One anchor's band table for one round (BuildBandTable, steering_plan.h):
+/// for every antenna j and D-grid interval i, the cubic through the samples
+/// of B_j at entries i-1 .. i+2 as Horner coefficients c0..c3, each an
+/// interleaved (re, im) pair — 8 doubles, one cache line, per interval.
+using BandTable = dsp::AlignedVec<double>;
+
 /// Scratch buffers for the likelihood-map kernels: the dense 2 MHz band
-/// comb, the antenna-position cache and the split-complex accumulators of
-/// the steering-plan kernel. Reusing one workspace across calls makes the
-/// in-place map variants allocation-free in steady state.
+/// comb, the antenna-position cache and the steering-plan kernel's band
+/// table. Reusing one workspace across calls makes the in-place map
+/// variants allocation-free in steady state.
 struct SpectraWorkspace {
   std::vector<dsp::CVec> dense;       // comb values per antenna
   std::vector<std::size_t> k_of;      // band index -> comb step
@@ -118,13 +125,10 @@ struct SpectraWorkspace {
   double comb_f0 = 0.0;
   double comb_step = 2.0e6;           // BLE channel spacing
   std::size_t comb_steps = 0;
-  // Steering-plan kernel scratch (one slot per grid cell).
-  dsp::SplitComplexVec cur;    // running rotor of the comb walk
-  dsp::SplitComplexVec acc;    // per-antenna band sum
-  dsp::SplitComplexVec total;  // cross-antenna coherent sum
-  // Gathered rotors of a cell subset (coarse/refine evaluation).
-  dsp::SplitComplexVec gbase;
-  dsp::SplitComplexVec gstep;
+  /// B_j samples of one antenna (the table build's walk output).
+  dsp::SplitComplexVec band_samples;
+  /// The round's band table of the full-map kernels.
+  BandTable table;
 };
 
 class Localizer;
@@ -156,8 +160,8 @@ const SearchStrategy& GetSearchStrategy(SearchMode mode);
 namespace detail {
 /// Number of antennas the kernels actually process for `input`.
 std::size_t EffectiveAntennas(const SpectraInput& input);
-/// Re-indexes the (possibly gappy) band list onto a dense 2 MHz comb so the
-/// per-cell band sum becomes a single rotor walk. Writes into the workspace,
+/// Re-indexes the (possibly gappy) band list onto a dense 2 MHz comb so a
+/// band sum becomes a single rotor walk. Writes into the workspace,
 /// reusing its buffers.
 void BuildComb(const SpectraInput& input, std::size_t antennas,
                SpectraWorkspace& ws);
@@ -169,8 +173,9 @@ dsp::Grid2D JointLikelihoodMap(const SpectraInput& input,
                                const dsp::GridSpec& spec);
 
 /// In-place reference kernel: overwrites every cell of `grid` (whose spec
-/// defines the evaluation points) using `ws` for scratch. Bit-identical to
-/// JointLikelihoodMap over the same spec; recomputes all geometry per cell.
+/// defines the evaluation points) using `ws` for scratch. Recomputes all
+/// geometry and walks the full band comb per cell: the exact Eq. 17 that
+/// JointLikelihoodMap approximates to within 1e-6 of the map peak.
 void JointLikelihoodMapInto(const SpectraInput& input, dsp::Grid2D& grid,
                             SpectraWorkspace& ws);
 

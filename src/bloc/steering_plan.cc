@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -99,38 +100,73 @@ SteeringPlan::SteeringPlan(SteeringPlanKey key) : key_(std::move(key)) {
   const std::size_t antennas = key_.antennas.size();
   cells_ = cols * rows;
 
+  // The relative distances, and the D range the band tables must cover.
   rel_d_.reserve(antennas);
-  base_.resize(antennas);
-  step_.resize(antennas);
-  for (std::size_t j = 0; j < antennas; ++j) {
-    rel_d_.emplace_back(spec);
-    base_[j].Resize(cells_);
-    step_[j].Resize(cells_);
-  }
-
-  // The phase expressions replicate the reference kernel (spectra.cc
-  // BandSum) term-for-term so both kernels agree to the last ulp.
+  for (std::size_t j = 0; j < antennas; ++j) rel_d_.emplace_back(spec);
+  double d_min = std::numeric_limits<double>::infinity();
+  double d_max = -d_min;
   for (std::size_t row = 0; row < rows; ++row) {
     const double y = spec.YOf(row);
     for (std::size_t col = 0; col < cols; ++col) {
       const geom::Vec2 x{spec.XOf(col), y};
       const double d_ref = geom::Distance(x, key_.master_ref);
-      const std::size_t cell = row * cols + col;
       for (std::size_t j = 0; j < antennas; ++j) {
         const double d = geom::Distance(x, key_.antennas[j]);
         const double relative = d - d_ref - key_.master_ref_distance;
+        if (!std::isfinite(relative)) {
+          throw std::invalid_argument(
+              "SteeringPlan: non-finite relative distance");
+        }
         rel_d_[j].At(col, row) = relative;
-        const double base_phi = kTwoPi * key_.comb_f0 * relative /
-                                kSpeedOfLight;
-        const double step_phi = kTwoPi * key_.comb_step * relative /
-                                kSpeedOfLight;
-        const cplx base = dsp::Rotor(base_phi);
-        const cplx step = dsp::Rotor(step_phi);
-        base_[j].re[cell] = base.real();
-        base_[j].im[cell] = base.imag();
-        step_[j].re[cell] = step.real();
-        step_[j].im[cell] = step.imag();
+        d_min = std::min(d_min, relative);
+        d_max = std::max(d_max, relative);
       }
+    }
+  }
+
+  // Table entry t sits at D = d0 + t h. Two entries of margin below d_min
+  // keep every stencil's first tap (one below the cell's interval) at or
+  // above entry 0; the length puts the last tap of the highest stencil
+  // inside the table.
+  constexpr double h = kBandTableStep;
+  const double d0 = (std::floor(d_min / h) - 2.0) * h;
+  const double span = std::floor((d_max - d0) / h) + 3.0;
+  if (!(span * static_cast<double>(antennas) <
+        static_cast<double>(std::numeric_limits<std::uint32_t>::max()))) {
+    throw std::invalid_argument("SteeringPlan: band table too large");
+  }
+  const auto len = static_cast<std::size_t>(span);
+  table_base_.Resize(len);
+  table_step_.Resize(len);
+  for (std::size_t t = 0; t < len; ++t) {
+    const double d = d0 + static_cast<double>(t) * h;
+    const cplx step = dsp::Rotor(kTwoPi * key_.comb_step * d / kSpeedOfLight);
+    table_base_.re[t] = 1.0;
+    table_base_.im[t] = 0.0;
+    table_step_.re[t] = step.real();
+    table_step_.im[t] = step.imag();
+  }
+
+  terms_.resize(cells_ * antennas);
+  for (std::size_t cell = 0; cell < cells_; ++cell) {
+    for (std::size_t j = 0; j < antennas; ++j) {
+      const double relative = rel_d_[j].data()[cell];
+      const double u = (relative - d0) / h;
+      const double whole = std::floor(u);
+      // The cell's cubic interpolates entries whole-1 .. whole+2. The hot
+      // loop reads them unchecked, so this is the one place that bounds
+      // them.
+      if (!(whole >= 1.0 && whole + 2.0 < span)) {
+        throw std::logic_error("SteeringPlan: band-table tap out of range");
+      }
+      PlanTerm& term = terms_[cell * antennas + j];
+      const cplx base =
+          dsp::Rotor(kTwoPi * key_.comb_f0 * relative / kSpeedOfLight);
+      term.base_re = base.real();
+      term.base_im = base.imag();
+      term.frac = u - whole;
+      term.interval = static_cast<std::uint32_t>(j * len) +
+                      static_cast<std::uint32_t>(whole);
     }
   }
 }
@@ -268,222 +304,162 @@ std::size_t SteeringPlanCache::bytes() const {
 
 namespace {
 
-// The hot loops live in dsp/simd_dispatch.cc as explicit scalar/AVX2/
-// AVX-512 variants of the split-complex MAC+rotate, selected once per
-// process from the CPU probe (and the BLOC_FORCE_ISA override). All
-// variants are bit-identical per element, so kernel choice never affects
-// results.
-
-/// Runs the comb walk over `n` cells whose base/step rotors start at the
-/// given pointers: ws.acc ends up holding sum_k alpha_k e^{j 2 pi f_k D / c}
-/// per cell. The fused `walk` kernel holds the per-cell rotor state and
-/// accumulator in registers for the whole walk, so the only memory traffic
-/// is one streaming read of base/step and one write of acc. std::complex
-/// is array-compatible with double pairs, so the dense comb passes through
-/// as interleaved (re, im).
-void WalkComb(const double* base_re, const double* base_im,
-              const double* step_re, const double* step_im,
-              const dsp::CVec& dense, SpectraWorkspace& ws, std::size_t n) {
-  ws.acc.Resize(n);
-  dsp::simd::Active().walk(reinterpret_cast<const double*>(dense.data()),
-                           ws.comb_steps, base_re, base_im, step_re, step_im,
-                           ws.acc.re.data(), ws.acc.im.data(), n);
-}
-
-/// WalkComb over the full grid of antenna `j`.
-void WalkAntenna(const SteeringPlan& plan, std::size_t j,
-                 const dsp::CVec& dense, SpectraWorkspace& ws) {
-  WalkComb(plan.base_re(j), plan.base_im(j), plan.step_re(j), plan.step_im(j),
-           dense, ws, plan.num_cells());
-}
-
-void CheckPlan(const SpectraInput& input, const SteeringPlan& plan,
-               const dsp::Grid2D& grid, const SpectraWorkspace& ws,
-               std::size_t antennas) {
-  if (!Matches(plan.key(), input, grid.spec(), ws.comb_f0, ws.comb_step,
-               antennas)) {
-    throw std::invalid_argument(
-        "steering plan does not match (input, grid, comb)");
+void CheckTable(const SteeringPlan& plan, const BandTable& table) {
+  if (table.size() != plan.num_antennas() * plan.table_len() * 8) {
+    throw std::invalid_argument("band table does not fit the steering plan");
   }
+}
+
+/// A complex value as an interleaved (re, im) lane pair. GCC/Clang lower
+/// the element-wise arithmetic to whatever vectors the target has (two
+/// scalar ops at worst), with per-lane IEEE semantics unchanged.
+typedef double Pair __attribute__((vector_size(16)));
+
+inline Pair LoadPair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// e^{j 2 pi f0 D / c} B_j(D) of one (cell, antenna) term: the cubic of the
+/// term's table interval at `frac`, times the base rotor. Every evaluation
+/// path calls this one expression and the file is built with
+/// -ffp-contract=off, so a cell's value never depends on which path
+/// computed it.
+inline Pair Term(const PlanTerm& p, const double* table) {
+  const double* c = table + 8 * std::size_t{p.interval};
+  const double s = p.frac;
+  const Pair b = LoadPair(c) +
+                 s * (LoadPair(c + 2) +
+                      s * (LoadPair(c + 4) + s * LoadPair(c + 6)));
+  // (b_re br - b_im bi, b_im br + b_re bi); negating a product is exact.
+  const Pair swapped = {b[1], b[0]};
+  const Pair sign = {-1.0, 1.0};
+  return b * p.base_re + swapped * p.base_im * sign;
+}
+
+/// The Eq. 17 magnitude of one cell: the antenna terms summed coherently in
+/// antenna order (the reference kernel's order).
+inline double JointCell(const PlanTerm* terms, std::size_t antennas,
+                        const double* table) {
+  Pair acc = {0.0, 0.0};
+  for (std::size_t j = 0; j < antennas; ++j) acc += Term(terms[j], table);
+  return std::sqrt(acc[0] * acc[0] + acc[1] * acc[1]);
+}
+
+}  // namespace
+
+void BuildBandTable(const SpectraInput& input, const SteeringPlan& plan,
+                    BandTable& table, SpectraWorkspace& ws) {
+  const std::size_t antennas = detail::EffectiveAntennas(input);
+  detail::BuildComb(input, antennas, ws);
+  if (!Matches(plan.key(), input, plan.key().grid, ws.comb_f0, ws.comb_step,
+               antennas)) {
+    throw std::invalid_argument("steering plan does not match (input, comb)");
+  }
+  const std::size_t len = plan.table_len();
+  table.assign(antennas * len * 8, 0.0);
+  dsp::SplitComplexVec& samples = ws.band_samples;
+  samples.Resize(len);
+  const dsp::SplitComplexVec& base = plan.table_base();
+  const dsp::SplitComplexVec& step = plan.table_step();
+  const dsp::simd::Kernels& kernels = dsp::simd::Active();
+  for (std::size_t j = 0; j < antennas; ++j) {
+    // std::complex is array-compatible with double pairs, so the dense comb
+    // passes through as interleaved (re, im).
+    kernels.walk(reinterpret_cast<const double*>(ws.dense[j].data()),
+                 ws.comb_steps, base.re.data(), base.im.data(),
+                 step.re.data(), step.im.data(), samples.re.data(),
+                 samples.im.data(), len);
+    // The cubic through samples i-1 .. i+2 (nodes -1, 0, 1, 2), in Horner
+    // form around node 0. The plan never points a cell at an interval
+    // without all four samples.
+    for (std::size_t i = 1; i + 2 < len; ++i) {
+      double* c = table.data() + 8 * (j * len + i);
+      for (std::size_t part = 0; part < 2; ++part) {
+        const double* v = part == 0 ? samples.re.data() : samples.im.data();
+        const double pm = v[i - 1];
+        const double p0 = v[i];
+        const double p1 = v[i + 1];
+        const double p2 = v[i + 2];
+        c[part] = p0;
+        c[2 + part] = p1 - p0 * 0.5 - pm * (1.0 / 3.0) - p2 * (1.0 / 6.0);
+        c[4 + part] = (pm + p1) * 0.5 - p0;
+        c[6 + part] = (p2 - pm) * (1.0 / 6.0) + (p0 - p1) * 0.5;
+      }
+    }
+  }
+}
+
+namespace {
+
+/// BuildBandTable into ws.table, for a full-grid map into `grid`.
+void BuildGridTable(const SpectraInput& input, const SteeringPlan& plan,
+                    const dsp::Grid2D& grid, SpectraWorkspace& ws) {
+  if (!(grid.spec() == plan.key().grid)) {
+    throw std::invalid_argument("steering plan does not match the grid");
+  }
+  BuildBandTable(input, plan, ws.table, ws);
 }
 
 }  // namespace
 
 void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
                             dsp::Grid2D& grid, SpectraWorkspace& ws) {
-  const std::size_t antennas = detail::EffectiveAntennas(input);
-  detail::BuildComb(input, antennas, ws);
-  CheckPlan(input, plan, grid, ws, antennas);
-  const std::size_t cells = plan.num_cells();
-  ws.acc.Resize(cells);
-  // Per-antenna partial sums land in ws.acc and are added into ws.total in
-  // antenna order — the same summation order as the reference kernel, so
-  // the floating-point result is unchanged.
-  ws.total.re.assign(cells, 0.0);
-  ws.total.im.assign(cells, 0.0);
-  for (std::size_t j = 0; j < antennas; ++j) {
-    WalkAntenna(plan, j, ws.dense[j], ws);
-    const double* __restrict acc_re = ws.acc.re.data();
-    const double* __restrict acc_im = ws.acc.im.data();
-    double* __restrict tot_re = ws.total.re.data();
-    double* __restrict tot_im = ws.total.im.data();
-    for (std::size_t c = 0; c < cells; ++c) {
-      tot_re[c] += acc_re[c];
-      tot_im[c] += acc_im[c];
-    }
-  }
-  const double* tot_re = ws.total.re.data();
-  const double* tot_im = ws.total.im.data();
+  BuildGridTable(input, plan, grid, ws);
   double* out = grid.data().data();
-  // std::abs(cplx) lowers to hypot; use it here too for exact agreement.
-  for (std::size_t c = 0; c < cells; ++c) {
-    out[c] = std::hypot(tot_re[c], tot_im[c]);
+  for (std::size_t c = 0; c < plan.num_cells(); ++c) {
+    out[c] = JointCell(plan.terms(c), plan.num_antennas(), ws.table.data());
   }
 }
 
-void JointLikelihoodCellsInto(const SpectraInput& input,
-                              const SteeringPlan& plan,
+void JointLikelihoodCellsInto(const SteeringPlan& plan, const BandTable& table,
                               std::span<const std::uint32_t> cells,
-                              double* out, SpectraWorkspace& ws) {
-  const std::size_t antennas = detail::EffectiveAntennas(input);
-  detail::BuildComb(input, antennas, ws);
-  if (!Matches(plan.key(), input, plan.key().grid, ws.comb_f0, ws.comb_step,
-               antennas)) {
-    throw std::invalid_argument(
-        "steering plan does not match (input, comb)");
-  }
-  const std::size_t n = cells.size();
-  const std::size_t total = plan.num_cells();
-  ws.acc.Resize(n);
-  ws.gbase.Resize(n);
-  ws.gstep.Resize(n);
-  ws.total.re.assign(n, 0.0);
-  ws.total.im.assign(n, 0.0);
-  for (std::size_t j = 0; j < antennas; ++j) {
-    // Gather the subset's rotors into contiguous scratch; the walk itself
-    // then runs the same dispatched kernels as the full-grid path.
-    const double* b_re = plan.base_re(j);
-    const double* b_im = plan.base_im(j);
-    const double* s_re = plan.step_re(j);
-    const double* s_im = plan.step_im(j);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t cell = cells[i];
-      if (cell >= total) {
-        throw std::invalid_argument(
-            "JointLikelihoodCellsInto: cell index out of range");
-      }
-      ws.gbase.re[i] = b_re[cell];
-      ws.gbase.im[i] = b_im[cell];
-      ws.gstep.re[i] = s_re[cell];
-      ws.gstep.im[i] = s_im[cell];
-    }
-    WalkComb(ws.gbase.re.data(), ws.gbase.im.data(), ws.gstep.re.data(),
-             ws.gstep.im.data(), ws.dense[j], ws, n);
-    const double* __restrict acc_re = ws.acc.re.data();
-    const double* __restrict acc_im = ws.acc.im.data();
-    double* __restrict tot_re = ws.total.re.data();
-    double* __restrict tot_im = ws.total.im.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      tot_re[i] += acc_re[i];
-      tot_im[i] += acc_im[i];
+                              double* out) {
+  CheckTable(plan, table);
+  for (const std::uint32_t cell : cells) {
+    if (cell >= plan.num_cells()) {
+      throw std::invalid_argument(
+          "JointLikelihoodCellsInto: cell index out of range");
     }
   }
-  const double* tot_re = ws.total.re.data();
-  const double* tot_im = ws.total.im.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::hypot(tot_re[i], tot_im[i]);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    out[i] = JointCell(plan.terms(cells[i]), plan.num_antennas(),
+                       table.data());
   }
 }
 
-void JointLikelihoodSpansInto(const SpectraInput& input,
-                              const SteeringPlan& plan,
-                              std::span<const CellSpan> spans,
-                              double* out, SpectraWorkspace& ws) {
-  const std::size_t antennas = detail::EffectiveAntennas(input);
-  detail::BuildComb(input, antennas, ws);
-  if (!Matches(plan.key(), input, plan.key().grid, ws.comb_f0, ws.comb_step,
-               antennas)) {
-    throw std::invalid_argument(
-        "steering plan does not match (input, comb)");
-  }
+void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
+                              std::span<const CellSpan> spans, double* out) {
+  CheckTable(plan, table);
   const std::size_t total = plan.num_cells();
-  std::size_t n = 0;
   for (const CellSpan& sp : spans) {
     if (sp.begin > total || sp.length > total - sp.begin) {
       throw std::invalid_argument(
           "JointLikelihoodSpansInto: span out of range");
     }
-    n += sp.length;
   }
-  ws.acc.Resize(n);
-  ws.total.re.assign(n, 0.0);
-  ws.total.im.assign(n, 0.0);
-  const dsp::simd::Kernels& kernels = dsp::simd::Active();
-  for (std::size_t j = 0; j < antennas; ++j) {
-    const double* comb =
-        reinterpret_cast<const double*>(ws.dense[j].data());
-    const double* b_re = plan.base_re(j);
-    const double* b_im = plan.base_im(j);
-    const double* s_re = plan.step_re(j);
-    const double* s_im = plan.step_im(j);
-    std::size_t off = 0;
-    for (std::size_t k = 0; k < spans.size(); ++k) {
-      const CellSpan& sp = spans[k];
-      if (k + 1 < spans.size()) {
-        // The walk kernel front-loads its reads (rotors stream into
-        // registers block by block), so each span start is a cold restart
-        // for the hardware prefetcher when the plan spills past L2.
-        // Touch the next span's rotor lines while this one computes.
-        const CellSpan& nx = spans[k + 1];
-        const std::size_t bytes = nx.length * sizeof(double);
-        for (std::size_t p = 0; p < bytes; p += 64) {
-          __builtin_prefetch(
-              reinterpret_cast<const char*>(b_re + nx.begin) + p);
-          __builtin_prefetch(
-              reinterpret_cast<const char*>(b_im + nx.begin) + p);
-          __builtin_prefetch(
-              reinterpret_cast<const char*>(s_re + nx.begin) + p);
-          __builtin_prefetch(
-              reinterpret_cast<const char*>(s_im + nx.begin) + p);
-        }
-      }
-      kernels.walk(comb, ws.comb_steps, b_re + sp.begin, b_im + sp.begin,
-                   s_re + sp.begin, s_im + sp.begin, ws.acc.re.data() + off,
-                   ws.acc.im.data() + off, sp.length);
-      off += sp.length;
+  const std::size_t antennas = plan.num_antennas();
+  for (const CellSpan& sp : spans) {
+    const PlanTerm* terms = plan.terms(sp.begin);
+    for (std::size_t t = 0; t < sp.length; ++t) {
+      *out++ = JointCell(terms + t * antennas, antennas, table.data());
     }
-    const double* __restrict acc_re = ws.acc.re.data();
-    const double* __restrict acc_im = ws.acc.im.data();
-    double* __restrict tot_re = ws.total.re.data();
-    double* __restrict tot_im = ws.total.im.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      tot_re[i] += acc_re[i];
-      tot_im[i] += acc_im[i];
-    }
-  }
-  const double* tot_re = ws.total.re.data();
-  const double* tot_im = ws.total.im.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::hypot(tot_re[i], tot_im[i]);
   }
 }
 
 void DistanceOnlyMapInto(const SpectraInput& input, const SteeringPlan& plan,
                          dsp::Grid2D& grid, SpectraWorkspace& ws) {
-  const std::size_t antennas = detail::EffectiveAntennas(input);
-  detail::BuildComb(input, antennas, ws);
-  CheckPlan(input, plan, grid, ws, antennas);
-  const std::size_t cells = plan.num_cells();
-  ws.acc.Resize(cells);
-  grid.Fill(0.0);
+  BuildGridTable(input, plan, grid, ws);
   double* out = grid.data().data();
-  for (std::size_t j = 0; j < antennas; ++j) {
-    WalkAntenna(plan, j, ws.dense[j], ws);
-    const double* acc_re = ws.acc.re.data();
-    const double* acc_im = ws.acc.im.data();
-    for (std::size_t c = 0; c < cells; ++c) {
-      out[c] += std::hypot(acc_re[c], acc_im[c]);
+  for (std::size_t c = 0; c < plan.num_cells(); ++c) {
+    const PlanTerm* terms = plan.terms(c);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
+      const Pair t = Term(terms[j], ws.table.data());
+      sum += std::sqrt(t[0] * t[0] + t[1] * t[1]);
     }
+    out[c] = sum;
   }
 }
 

@@ -1,15 +1,23 @@
 // Precomputed steering plans for the Eq. 17 likelihood kernels.
 //
 // For a fixed (grid, anchor geometry, master reference, comb layout) the
-// per-cell relative distances D_ij(x) and the base/step phase rotors of the
-// comb walk never change between rounds. A SteeringPlan hoists all of that
-// out of the hot path once — SpotFi/ArrayTrack-style steering-matrix
-// precomputation mapped onto BLoc's Cartesian grid — leaving the steady-state
-// kernel a branch-free complex multiply-accumulate over cells x comb steps
-// with no sqrt, no sin/cos and no std::complex arithmetic.
+// per-cell relative distances D_ij(x) never change between rounds. The band
+// sum of antenna j factors as
+//   sum_k alpha_jk e^{j 2 pi (f0 + k df) D / c} = e^{j 2 pi f0 D / c} B_j(D),
+//   B_j(D) = sum_k alpha_jk e^{j 2 pi k df D / c},
+// and B_j spans only the ~78 MHz comb, so it is smooth in D (the band
+// stitching of Chronos). A SteeringPlan hoists all geometry out of the hot
+// path once: per (cell, antenna) the base rotor e^{j 2 pi f0 D / c} and the
+// cell's position on a fixed 5 cm D grid; per plan the step rotors that
+// sample B_j on that grid. Each round then tabulates B_j once per antenna
+// (the dispatched comb walk over a few hundred D-grid entries instead of
+// every cell) as per-interval cubics through 4 samples, and every cell
+// costs one cubic evaluation and one complex multiply per antenna: no
+// distance sqrt, no sin/cos, no comb walk.
 //
-// Rotors are stored split-complex (separate aligned re[]/im[] arrays, cell
-// index contiguous) so the fused MAC+rotate loop auto-vectorizes.
+// Interpolated values differ from the reference kernel by under 1e-6 of the
+// map peak; every evaluation path (full grid, cell subset, spans) runs the
+// same per-cell expression, so they agree with each other bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -51,9 +59,9 @@ SteeringPlanKey MakeSteeringPlanKey(const SpectraInput& input,
                                     double comb_step = 2.0e6);
 
 /// One coarse level of the steering pyramid: the fine grid decimated into
-/// stride x stride blocks. A level owns no rotors — `sample_cells` holds,
-/// per block, the row-major fine-grid index of the block's minimum-corner
-/// cell, so coarse evaluation gathers straight out of the fine plan's
+/// stride x stride blocks. A level owns no plan terms — `sample_cells`
+/// holds, per block, the row-major fine-grid index of the block's minimum-
+/// corner cell, so coarse evaluation reads straight out of the fine plan's
 /// storage and coarse samples are exact fine-cell values.
 struct SteeringLevel {
   std::size_t stride = 1;
@@ -76,13 +84,36 @@ struct SteeringLevel {
                         std::vector<std::uint32_t>& out) const;
 };
 
+/// Spacing of the D grid the per-round band-sum tables sample B_j on. B_j
+/// varies on a c / 78 MHz ~ 3.8 m scale, so 5 cm cubic interpolation stays
+/// within 1e-6 of the map peak.
+inline constexpr double kBandTableStep = 0.05;
+
+/// One (cell, antenna) entry of a plan: everything the per-cell kernel needs
+/// to evaluate e^{j 2 pi f0 D / c} B_j(D) from the antenna's band table.
+struct PlanTerm {
+  /// The base rotor e^{j 2 pi f0 D / c}.
+  double base_re = 1.0;
+  double base_im = 0.0;
+  /// Position of D inside its table interval, in [0, 1).
+  double frac = 0.0;
+  /// The table interval holding D, counted antenna-major over the whole
+  /// band table (so it already includes the antenna's offset). Interval i
+  /// spans entries i .. i+1 and interpolates entries i-1 .. i+2.
+  std::uint32_t interval = 0;
+};
+static_assert(sizeof(PlanTerm) == 32);
+
 /// Immutable per-(anchor, grid, comb) precomputation: for every grid cell x
 /// and active antenna j, the relative distance D_j(x) = |x-a_j| - |x-m00| -
-/// d_i0 and the unit rotors e^{j 2 pi f0 D/c} (base) and e^{j 2 pi df D/c}
-/// (step). Cell index runs row-major, matching Grid2D storage. Safe to share
-/// read-only across threads.
+/// d_i0, the base rotor and the band-table stencil of D_j(x); and, per
+/// plan, the D grid of the band tables with its step rotors
+/// e^{j 2 pi df D_t / c}. Cell index runs row-major, matching Grid2D
+/// storage. Safe to share read-only across threads.
 class SteeringPlan {
  public:
+  /// Throws std::invalid_argument for an invalid grid, no antennas, or a
+  /// non-finite relative distance (NaN/inf antenna or reference geometry).
   explicit SteeringPlan(SteeringPlanKey key);
 
   const SteeringPlanKey& key() const { return key_; }
@@ -94,30 +125,40 @@ class SteeringPlan {
     return rel_d_[j];
   }
 
-  // Split-complex rotor arrays of antenna `j`, each num_cells() long.
-  const double* base_re(std::size_t j) const { return base_[j].re.data(); }
-  const double* base_im(std::size_t j) const { return base_[j].im.data(); }
-  const double* step_re(std::size_t j) const { return step_[j].re.data(); }
-  const double* step_im(std::size_t j) const { return step_[j].im.data(); }
+  /// The num_antennas() terms of `cell`, antenna-minor.
+  const PlanTerm* terms(std::size_t cell) const {
+    return terms_.data() + cell * num_antennas();
+  }
+
+  /// D-grid entries (and table intervals) per antenna, kBandTableStep
+  /// apart; band tables hold num_antennas() runs of them back to back.
+  std::size_t table_len() const { return table_step_.size(); }
+  /// The comb walk's per-entry rotors that tabulate B_j: base 1 and step
+  /// e^{j 2 pi df D_t / c}.
+  const dsp::SplitComplexVec& table_base() const { return table_base_; }
+  const dsp::SplitComplexVec& table_step() const { return table_step_; }
 
   /// The pyramid level decimating this plan's grid by `stride`. Levels are
-  /// index views (no rotor copies), built lazily and memoized; safe to call
+  /// index views (no copies), built lazily and memoized; safe to call
   /// concurrently.
   std::shared_ptr<const SteeringLevel> Level(std::size_t stride) const;
 
-  /// Rotor + relative-distance storage of this plan, in bytes — what the
-  /// cache's byte budget accounts (pyramid levels are index-only and small).
+  /// Term + relative-distance + table-rotor storage of this plan, in bytes
+  /// — what the cache's byte budget accounts (pyramid levels are index-only
+  /// and small).
   std::size_t MemoryBytes() const {
-    // rel_d + base/step re/im: five doubles per (cell, antenna).
-    return cells_ * num_antennas() * 5 * sizeof(double);
+    // A 32-byte PlanTerm plus the D field per (cell, antenna): 40 bytes.
+    return cells_ * num_antennas() * (sizeof(PlanTerm) + sizeof(double)) +
+           table_len() * 4 * sizeof(double);
   }
 
  private:
   SteeringPlanKey key_;
   std::size_t cells_ = 0;
   std::vector<dsp::Grid2D> rel_d_;
-  std::vector<dsp::SplitComplexVec> base_;
-  std::vector<dsp::SplitComplexVec> step_;
+  dsp::AlignedVec<PlanTerm> terms_;
+  dsp::SplitComplexVec table_base_;  // (1, 0) per entry: the walk's start
+  dsp::SplitComplexVec table_step_;
   mutable std::mutex level_mu_;
   mutable std::vector<std::shared_ptr<const SteeringLevel>> levels_;
 };
@@ -130,7 +171,7 @@ struct SteeringCacheLimits {
   /// (anchor geometry, grid, comb) — 64 comfortably covers the multi-
   /// scenario benches while bounding pathological sweeps.
   std::size_t max_plans = 64;
-  /// Maximum resident rotor storage (SteeringPlan::MemoryBytes sums).
+  /// Maximum resident plan storage (SteeringPlan::MemoryBytes sums).
   std::size_t max_bytes = std::size_t{512} << 20;
 };
 
@@ -169,7 +210,7 @@ class SteeringPlanCache {
   /// Plans evicted by the LRU bounds so far (also published as the
   /// `bloc.steering_cache.evictions` counter).
   std::size_t evictions() const;
-  /// Resident rotor bytes (also the `bloc.steering_cache.bytes` gauge).
+  /// Resident plan bytes (also the `bloc.steering_cache.bytes` gauge).
   std::size_t bytes() const;
   const SteeringCacheLimits& limits() const { return limits_; }
 
@@ -205,10 +246,20 @@ class SteeringPlanCache {
   obs::Gauge& bytes_gauge_;
 };
 
-/// Steering-plan variant of JointLikelihoodMapInto (spectra.h): identical
-/// output to the reference kernel, but all geometry work comes from `plan`.
-/// `grid` must already have the plan's spec. Throws std::invalid_argument
-/// when `plan` does not match (input, grid).
+/// The per-round half of the factored kernel: samples B_j(D) of every
+/// active antenna of `input` on the plan's D grid and turns the samples
+/// into `table` (antenna-major, plan.table_len() intervals each). The
+/// samples come from the dispatched comb walk, so the table is bit-
+/// identical across ISAs. Throws std::invalid_argument when `plan` does not
+/// match `input`.
+void BuildBandTable(const SpectraInput& input, const SteeringPlan& plan,
+                    BandTable& table, SpectraWorkspace& ws);
+
+/// Steering-plan variant of JointLikelihoodMapInto (spectra.h): builds the
+/// round's band table into ws.table, then interpolates every cell. Agrees
+/// with the reference kernel to within 1e-6 of the map peak. `grid` must
+/// already have the plan's spec. Throws std::invalid_argument when `plan`
+/// does not match (input, grid).
 void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
                             dsp::Grid2D& grid, SpectraWorkspace& ws);
 
@@ -216,18 +267,16 @@ void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
 void DistanceOnlyMapInto(const SpectraInput& input, const SteeringPlan& plan,
                          dsp::Grid2D& grid, SpectraWorkspace& ws);
 
-/// Evaluates the Eq. 17 magnitude of `input` at an arbitrary subset of plan
-/// cells: out[i] = the joint-likelihood value at row-major fine cell
-/// cells[i]. The comb walk runs the same dispatched kernels over rotors
-/// gathered into `ws`, and the kernels are lane-order-independent (no FMA),
-/// so each out[i] is bit-identical to the corresponding cell of
-/// JointLikelihoodMapInto over the full grid — the property the
-/// coarse-to-fine search rests on. Throws when `plan` does not match
-/// `input` or a cell index is out of range.
-void JointLikelihoodCellsInto(const SpectraInput& input,
-                              const SteeringPlan& plan,
+/// Evaluates the Eq. 17 magnitude at an arbitrary subset of plan cells from
+/// a band table BuildBandTable made for this plan: out[i] = the joint-
+/// likelihood value at row-major fine cell cells[i]. Each out[i] is bit-
+/// identical to the corresponding cell of JointLikelihoodMapInto over the
+/// full grid (one per-cell expression, no FMA contraction) — the property
+/// the coarse-to-fine search rests on. Throws std::invalid_argument when
+/// `table` does not fit `plan` or a cell index is out of range.
+void JointLikelihoodCellsInto(const SteeringPlan& plan, const BandTable& table,
                               std::span<const std::uint32_t> cells,
-                              double* out, SpectraWorkspace& ws);
+                              double* out);
 
 /// A contiguous run of row-major fine cells: [begin, begin + length).
 struct CellSpan {
@@ -235,16 +284,11 @@ struct CellSpan {
   std::uint32_t length = 0;
 };
 
-/// Span variant of JointLikelihoodCellsInto for contiguous cell runs: the
-/// rotors of a run are already contiguous in the plan's storage, so the walk
-/// kernel reads them in place — no per-cell gather, same per-cell cost as
-/// the full-grid path. out[i] covers the spans concatenated in order; every
-/// value is bit-identical to the corresponding cell of the full-grid map
-/// (the kernels are lane-order-independent). This is what makes refining a
-/// large survivor fraction cheaper than re-running the exhaustive map.
-void JointLikelihoodSpansInto(const SpectraInput& input,
-                              const SteeringPlan& plan,
-                              std::span<const CellSpan> spans,
-                              double* out, SpectraWorkspace& ws);
+/// Span variant of JointLikelihoodCellsInto for contiguous cell runs, which
+/// read the plan's terms as one sequential stream. out[i] covers the spans
+/// concatenated in order; every value is bit-identical to the corresponding
+/// cell of the full-grid map. Same contract as JointLikelihoodCellsInto.
+void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
+                              std::span<const CellSpan> spans, double* out);
 
 }  // namespace bloc::core

@@ -1,8 +1,8 @@
-// Explicit scalar / AVX2 / AVX-512 variants of the comb-walk loop bodies.
+// Explicit scalar / AVX2 / AVX-512 variants of the comb walk.
 //
-// Every variant evaluates, per element c:
-//   acc[c] += a * cur[c]        (complex MAC, split re/im)
-//   cur[c] *= step[c]           (complex rotate)
+// Every variant evaluates, per element c and comb step k:
+//   acc[c] += comb[k] * cur[c]  (complex MAC, split re/im; skipped on gaps)
+//   cur[c] *= step[c]           (complex rotate; skipped on the last step)
 // with the exact expression shapes of the scalar reference below — two
 // multiplies then one add/sub per component, never an FMA — so the results
 // are bit-identical across ISAs and across lane/tail splits. This file is
@@ -25,44 +25,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar reference (also the tail loop of the vector variants).
 
-void MacRotateScalar(double a_re, double a_im, const double* step_re,
-                     const double* step_im, double* cur_re, double* cur_im,
-                     double* acc_re, double* acc_im, std::size_t n) {
-  for (std::size_t c = 0; c < n; ++c) {
-    const double r = cur_re[c];
-    const double i = cur_im[c];
-    acc_re[c] += a_re * r - a_im * i;
-    acc_im[c] += a_re * i + a_im * r;
-    cur_re[c] = r * step_re[c] - i * step_im[c];
-    cur_im[c] = r * step_im[c] + i * step_re[c];
-  }
-}
-
-void MacOnlyScalar(double a_re, double a_im, const double* cur_re,
-                   const double* cur_im, double* acc_re, double* acc_im,
-                   std::size_t n) {
-  for (std::size_t c = 0; c < n; ++c) {
-    acc_re[c] += a_re * cur_re[c] - a_im * cur_im[c];
-    acc_im[c] += a_re * cur_im[c] + a_im * cur_re[c];
-  }
-}
-
-void RotateOnlyScalar(const double* step_re, const double* step_im,
-                      double* cur_re, double* cur_im, std::size_t n) {
-  for (std::size_t c = 0; c < n; ++c) {
-    const double r = cur_re[c];
-    const double i = cur_im[c];
-    cur_re[c] = r * step_re[c] - i * step_im[c];
-    cur_im[c] = r * step_im[c] + i * step_re[c];
-  }
-}
-
-// The fused walk: per cell, the same step sequence the three kernels above
-// perform step-major — MAC unless the comb coefficient is zero, rotate
-// unless it is the final step — but cell-major, so cur/acc live in
-// registers for the whole walk instead of round-tripping memory once per
-// step. Loop interchange does not touch any per-cell expression, so the
-// result is bit-identical to driving the step kernels.
+// Per cell: MAC unless the comb coefficient is zero, rotate unless it is
+// the final step, with cur/acc in registers for the whole walk.
 void WalkScalarOne(const double* comb, std::size_t steps, double r, double i,
                    double sr, double si, double* out_re, double* out_im) {
   double ar = 0.0;
@@ -90,8 +54,8 @@ void WalkScalar(const double* comb, std::size_t steps, const double* base_re,
                 const double* step_im, double* acc_re, double* acc_im,
                 std::size_t n) {
   // Four cells in flight: each cell's rotation is a serial multiply chain
-  // across steps, so interleaving independent chains restores the ILP the
-  // step-major kernels had. The per-cell operation sequence is unchanged.
+  // across steps, so interleaving independent chains buys ILP. The per-cell
+  // operation sequence is unchanged.
   std::size_t c = 0;
   for (; c + 4 <= n; c += 4) {
     double r0 = base_re[c], i0 = base_im[c];
@@ -147,91 +111,13 @@ void WalkScalar(const double* comb, std::size_t steps, const double* base_re,
   }
 }
 
-constexpr Kernels kScalarKernels{MacRotateScalar, MacOnlyScalar,
-                                 RotateOnlyScalar, WalkScalar, Isa::kScalar};
+constexpr Kernels kScalarKernels{WalkScalar, Isa::kScalar};
 
 #if defined(BLOC_SIMD_X86)
 
 // ---------------------------------------------------------------------------
 // AVX2: 4 doubles per lane group. _mm256_mul_pd/_mm256_add_pd/_mm256_sub_pd
 // mirror the scalar expression tree exactly (no _mm256_fmadd_pd).
-
-__attribute__((target("avx2"))) void MacRotateAvx2(
-    double a_re, double a_im, const double* step_re, const double* step_im,
-    double* cur_re, double* cur_im, double* acc_re, double* acc_im,
-    std::size_t n) {
-  const __m256d ar = _mm256_set1_pd(a_re);
-  const __m256d ai = _mm256_set1_pd(a_im);
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    const __m256d r = _mm256_loadu_pd(cur_re + c);
-    const __m256d i = _mm256_loadu_pd(cur_im + c);
-    const __m256d sr = _mm256_loadu_pd(step_re + c);
-    const __m256d si = _mm256_loadu_pd(step_im + c);
-    _mm256_storeu_pd(
-        acc_re + c,
-        _mm256_add_pd(_mm256_loadu_pd(acc_re + c),
-                      _mm256_sub_pd(_mm256_mul_pd(ar, r),
-                                    _mm256_mul_pd(ai, i))));
-    _mm256_storeu_pd(
-        acc_im + c,
-        _mm256_add_pd(_mm256_loadu_pd(acc_im + c),
-                      _mm256_add_pd(_mm256_mul_pd(ar, i),
-                                    _mm256_mul_pd(ai, r))));
-    _mm256_storeu_pd(cur_re + c, _mm256_sub_pd(_mm256_mul_pd(r, sr),
-                                               _mm256_mul_pd(i, si)));
-    _mm256_storeu_pd(cur_im + c, _mm256_add_pd(_mm256_mul_pd(r, si),
-                                               _mm256_mul_pd(i, sr)));
-  }
-  MacRotateScalar(a_re, a_im, step_re + c, step_im + c, cur_re + c, cur_im + c,
-                  acc_re + c, acc_im + c, n - c);
-}
-
-__attribute__((target("avx2"))) void MacOnlyAvx2(double a_re, double a_im,
-                                                 const double* cur_re,
-                                                 const double* cur_im,
-                                                 double* acc_re,
-                                                 double* acc_im,
-                                                 std::size_t n) {
-  const __m256d ar = _mm256_set1_pd(a_re);
-  const __m256d ai = _mm256_set1_pd(a_im);
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    const __m256d r = _mm256_loadu_pd(cur_re + c);
-    const __m256d i = _mm256_loadu_pd(cur_im + c);
-    _mm256_storeu_pd(
-        acc_re + c,
-        _mm256_add_pd(_mm256_loadu_pd(acc_re + c),
-                      _mm256_sub_pd(_mm256_mul_pd(ar, r),
-                                    _mm256_mul_pd(ai, i))));
-    _mm256_storeu_pd(
-        acc_im + c,
-        _mm256_add_pd(_mm256_loadu_pd(acc_im + c),
-                      _mm256_add_pd(_mm256_mul_pd(ar, i),
-                                    _mm256_mul_pd(ai, r))));
-  }
-  MacOnlyScalar(a_re, a_im, cur_re + c, cur_im + c, acc_re + c, acc_im + c,
-                n - c);
-}
-
-__attribute__((target("avx2"))) void RotateOnlyAvx2(const double* step_re,
-                                                    const double* step_im,
-                                                    double* cur_re,
-                                                    double* cur_im,
-                                                    std::size_t n) {
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    const __m256d r = _mm256_loadu_pd(cur_re + c);
-    const __m256d i = _mm256_loadu_pd(cur_im + c);
-    const __m256d sr = _mm256_loadu_pd(step_re + c);
-    const __m256d si = _mm256_loadu_pd(step_im + c);
-    _mm256_storeu_pd(cur_re + c, _mm256_sub_pd(_mm256_mul_pd(r, sr),
-                                               _mm256_mul_pd(i, si)));
-    _mm256_storeu_pd(cur_im + c, _mm256_add_pd(_mm256_mul_pd(r, si),
-                                               _mm256_mul_pd(i, sr)));
-  }
-  RotateOnlyScalar(step_re + c, step_im + c, cur_re + c, cur_im + c, n - c);
-}
 
 // One 8-cell block of the AVX2 walk: 2 independent rotation chains of 4
 // lanes. Two chains hide the rotate's multiply latency while staying inside
@@ -335,88 +221,10 @@ __attribute__((target("avx2"))) void WalkAvx2(
              acc_re + c, acc_im + c, n - c);
 }
 
-constexpr Kernels kAvx2Kernels{MacRotateAvx2, MacOnlyAvx2, RotateOnlyAvx2,
-                               WalkAvx2, Isa::kAvx2};
+constexpr Kernels kAvx2Kernels{WalkAvx2, Isa::kAvx2};
 
 // ---------------------------------------------------------------------------
 // AVX-512F: 8 doubles per lane group, same expression tree.
-
-__attribute__((target("avx512f"))) void MacRotateAvx512(
-    double a_re, double a_im, const double* step_re, const double* step_im,
-    double* cur_re, double* cur_im, double* acc_re, double* acc_im,
-    std::size_t n) {
-  const __m512d ar = _mm512_set1_pd(a_re);
-  const __m512d ai = _mm512_set1_pd(a_im);
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m512d r = _mm512_loadu_pd(cur_re + c);
-    const __m512d i = _mm512_loadu_pd(cur_im + c);
-    const __m512d sr = _mm512_loadu_pd(step_re + c);
-    const __m512d si = _mm512_loadu_pd(step_im + c);
-    _mm512_storeu_pd(
-        acc_re + c,
-        _mm512_add_pd(_mm512_loadu_pd(acc_re + c),
-                      _mm512_sub_pd(_mm512_mul_pd(ar, r),
-                                    _mm512_mul_pd(ai, i))));
-    _mm512_storeu_pd(
-        acc_im + c,
-        _mm512_add_pd(_mm512_loadu_pd(acc_im + c),
-                      _mm512_add_pd(_mm512_mul_pd(ar, i),
-                                    _mm512_mul_pd(ai, r))));
-    _mm512_storeu_pd(cur_re + c, _mm512_sub_pd(_mm512_mul_pd(r, sr),
-                                               _mm512_mul_pd(i, si)));
-    _mm512_storeu_pd(cur_im + c, _mm512_add_pd(_mm512_mul_pd(r, si),
-                                               _mm512_mul_pd(i, sr)));
-  }
-  MacRotateScalar(a_re, a_im, step_re + c, step_im + c, cur_re + c, cur_im + c,
-                  acc_re + c, acc_im + c, n - c);
-}
-
-__attribute__((target("avx512f"))) void MacOnlyAvx512(double a_re, double a_im,
-                                                      const double* cur_re,
-                                                      const double* cur_im,
-                                                      double* acc_re,
-                                                      double* acc_im,
-                                                      std::size_t n) {
-  const __m512d ar = _mm512_set1_pd(a_re);
-  const __m512d ai = _mm512_set1_pd(a_im);
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m512d r = _mm512_loadu_pd(cur_re + c);
-    const __m512d i = _mm512_loadu_pd(cur_im + c);
-    _mm512_storeu_pd(
-        acc_re + c,
-        _mm512_add_pd(_mm512_loadu_pd(acc_re + c),
-                      _mm512_sub_pd(_mm512_mul_pd(ar, r),
-                                    _mm512_mul_pd(ai, i))));
-    _mm512_storeu_pd(
-        acc_im + c,
-        _mm512_add_pd(_mm512_loadu_pd(acc_im + c),
-                      _mm512_add_pd(_mm512_mul_pd(ar, i),
-                                    _mm512_mul_pd(ai, r))));
-  }
-  MacOnlyScalar(a_re, a_im, cur_re + c, cur_im + c, acc_re + c, acc_im + c,
-                n - c);
-}
-
-__attribute__((target("avx512f"))) void RotateOnlyAvx512(const double* step_re,
-                                                         const double* step_im,
-                                                         double* cur_re,
-                                                         double* cur_im,
-                                                         std::size_t n) {
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    const __m512d r = _mm512_loadu_pd(cur_re + c);
-    const __m512d i = _mm512_loadu_pd(cur_im + c);
-    const __m512d sr = _mm512_loadu_pd(step_re + c);
-    const __m512d si = _mm512_loadu_pd(step_im + c);
-    _mm512_storeu_pd(cur_re + c, _mm512_sub_pd(_mm512_mul_pd(r, sr),
-                                               _mm512_mul_pd(i, si)));
-    _mm512_storeu_pd(cur_im + c, _mm512_add_pd(_mm512_mul_pd(r, si),
-                                               _mm512_mul_pd(i, sr)));
-  }
-  RotateOnlyScalar(step_re + c, step_im + c, cur_re + c, cur_im + c, n - c);
-}
 
 // One 32-cell block of the AVX-512 walk: 4 independent rotation chains of 8
 // lanes; 26 of the 32 zmm registers stay live.
@@ -515,8 +323,7 @@ __attribute__((target("avx512f"))) void WalkAvx512(
              acc_re + c, acc_im + c, n - c);
 }
 
-constexpr Kernels kAvx512Kernels{MacRotateAvx512, MacOnlyAvx512,
-                                 RotateOnlyAvx512, WalkAvx512, Isa::kAvx512};
+constexpr Kernels kAvx512Kernels{WalkAvx512, Isa::kAvx512};
 
 #endif  // BLOC_SIMD_X86
 

@@ -1,18 +1,18 @@
-// Runtime CPU dispatch for the split-complex comb-walk kernels.
+// Runtime CPU dispatch for the split-complex comb walk.
 //
-// The Eq. 17 hot loop is a fused MAC+rotate over grid cells; PR 2 left its
-// vectorization to the compiler, which pins the binary to the baseline ISA
-// (SSE2 on portable builds). This facility probes the CPU once at startup
-// and resolves a function-pointer table to explicit scalar / AVX2 / AVX-512
-// variants of the three loop bodies, so a portable binary still runs
-// 512-bit kernels on machines that have them.
+// The steering-plan kernel (bloc/steering_plan.h) tabulates each antenna's
+// band sum B_j(D) once per round by walking the dense band comb over a few
+// hundred table entries; every grid cell then interpolates that table. The
+// walk is the one dispatched kernel: this facility probes the CPU once at
+// startup and resolves a function-pointer table to explicit scalar / AVX2 /
+// AVX-512 variants, so a portable binary still runs 512-bit walks on
+// machines that have them.
 //
 // Bit-identity contract: every variant performs the same IEEE-754 double
 // operations in the same per-element order and none uses FMA (the
-// translation unit is additionally built with -ffp-contract=off), so for
-// any cell the result is bit-identical across ISAs, across lane packings
-// and between full-grid and gathered-subset evaluation. The coarse-to-fine
-// search (bloc/localizer.cc) and the cross-ISA parity tests rely on this.
+// translation unit is additionally built with -ffp-contract=off), so every
+// table entry — and with it every map value — is bit-identical across ISAs
+// and lane packings. The cross-ISA parity tests rely on this.
 //
 // `BLOC_FORCE_ISA=scalar|avx2|avx512` overrides the probe (clamped down to
 // what the CPU supports) — used by the tests and the CI scalar leg.
@@ -30,28 +30,14 @@ enum class Isa {
   kAvx512 = 2,
 };
 
-/// The comb-walk loop bodies (see bloc/steering_plan.cc WalkComb). All
-/// per-cell arrays are length `n`; aliasing between distinct arguments is
-/// not allowed.
+/// The dispatched kernels. All per-element arrays are length `n`; aliasing
+/// between distinct arguments is not allowed.
 struct Kernels {
-  /// acc += a * cur, then cur *= step, per element.
-  void (*mac_rotate)(double a_re, double a_im, const double* step_re,
-                     const double* step_im, double* cur_re, double* cur_im,
-                     double* acc_re, double* acc_im, std::size_t n);
-  /// acc += a * cur per element (final comb step: no rotation needed).
-  void (*mac_only)(double a_re, double a_im, const double* cur_re,
-                   const double* cur_im, double* acc_re, double* acc_im,
-                   std::size_t n);
-  /// cur *= step per element (comb gap: the band is absent, only advance).
-  void (*rotate_only)(const double* step_re, const double* step_im,
-                      double* cur_re, double* cur_im, std::size_t n);
-  /// The whole comb walk fused per cell: starting from cur = base, for each
-  /// comb step k apply the MAC (skipped when comb[k] == 0, a comb gap) and
-  /// then the rotation (skipped on the final step), writing the summed
-  /// accumulator to acc. `comb` is `steps` interleaved (re, im) pairs.
-  /// Equivalent to the step-major kernels above but holds cur/acc in
-  /// registers for the full walk — per cell the operation sequence is
-  /// identical (loop interchange only), so results stay bit-identical.
+  /// The comb walk per element: starting from cur = base, for each comb
+  /// step k apply the MAC acc += comb[k] * cur (skipped when comb[k] == 0,
+  /// a comb gap) and then the rotation cur *= step (skipped on the final
+  /// step), writing the summed accumulator to acc. `comb` is `steps`
+  /// interleaved (re, im) pairs.
   void (*walk)(const double* comb, std::size_t steps, const double* base_re,
                const double* base_im, const double* step_re,
                const double* step_im, double* acc_re, double* acc_im,

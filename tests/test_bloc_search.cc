@@ -126,7 +126,9 @@ TEST(Search, SpansBitIdenticalToFullMap) {
   std::size_t total = 0;
   for (const CellSpan& s : spans) total += s.length;
   std::vector<double> out(total);
-  JointLikelihoodSpansInto(input, *plan, spans, out.data(), sws);
+  BandTable table;
+  BuildBandTable(input, *plan, table, sws);
+  JointLikelihoodSpansInto(*plan, table, spans, out.data());
 
   std::size_t off = 0;
   for (const CellSpan& s : spans) {

@@ -49,7 +49,7 @@ TEST(SimdDispatch, ScalarAlwaysSupportedAndTablesTagged) {
 struct Operands {
   std::vector<double> comb;  // interleaved (re, im), `steps` pairs
   std::vector<double> base_re, base_im, step_re, step_im;
-  std::vector<double> cur_re, cur_im, acc_re, acc_im;
+  std::vector<double> acc_re, acc_im;
 
   Operands(std::mt19937& rng, std::size_t steps, std::size_t n) {
     std::uniform_real_distribution<double> u(-1.0, 1.0);
@@ -69,16 +69,14 @@ struct Operands {
     fill(base_im);
     fill(step_re);
     fill(step_im);
-    fill(cur_re);
-    fill(cur_im);
     acc_re.assign(n, 0.0);
     acc_im.assign(n, 0.0);
   }
 };
 
 // Every kernel variant must produce bit-identical doubles for every lane —
-// the coarse-to-fine search's position-parity contract depends on it, so
-// the comparisons below are EXPECT_EQ, not EXPECT_NEAR.
+// the band tables, and with them every map value, depend on it, so the
+// comparisons below are EXPECT_EQ, not EXPECT_NEAR.
 TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
   std::mt19937 rng(7);
   const Kernels& ref = ForIsa(Isa::kScalar);
@@ -89,8 +87,6 @@ TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
       const std::size_t steps = 37;
       Operands a(rng, steps, n);
       Operands b = a;
-
-      // walk
       alt.walk(b.comb.data(), steps, b.base_re.data(), b.base_im.data(),
                b.step_re.data(), b.step_im.data(), b.acc_re.data(),
                b.acc_im.data(), n);
@@ -101,73 +97,6 @@ TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
         ASSERT_EQ(a.acc_re[i], b.acc_re[i]) << "walk n=" << n << " i=" << i;
         ASSERT_EQ(a.acc_im[i], b.acc_im[i]) << "walk n=" << n << " i=" << i;
       }
-
-      // mac_rotate (mutates cur and acc)
-      alt.mac_rotate(0.6, -0.3, b.step_re.data(), b.step_im.data(),
-                     b.cur_re.data(), b.cur_im.data(), b.acc_re.data(),
-                     b.acc_im.data(), n);
-      ref.mac_rotate(0.6, -0.3, a.step_re.data(), a.step_im.data(),
-                     a.cur_re.data(), a.cur_im.data(), a.acc_re.data(),
-                     a.acc_im.data(), n);
-      // mac_only
-      alt.mac_only(-0.8, 0.25, b.cur_re.data(), b.cur_im.data(),
-                   b.acc_re.data(), b.acc_im.data(), n);
-      ref.mac_only(-0.8, 0.25, a.cur_re.data(), a.cur_im.data(),
-                   a.acc_re.data(), a.acc_im.data(), n);
-      // rotate_only
-      alt.rotate_only(b.step_re.data(), b.step_im.data(), b.cur_re.data(),
-                      b.cur_im.data(), n);
-      ref.rotate_only(a.step_re.data(), a.step_im.data(), a.cur_re.data(),
-                      a.cur_im.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(a.cur_re[i], b.cur_re[i]) << "n=" << n << " i=" << i;
-        ASSERT_EQ(a.cur_im[i], b.cur_im[i]) << "n=" << n << " i=" << i;
-        ASSERT_EQ(a.acc_re[i], b.acc_re[i]) << "n=" << n << " i=" << i;
-        ASSERT_EQ(a.acc_im[i], b.acc_im[i]) << "n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-// The fused walk is a loop interchange of the step-major kernels: driving
-// mac_rotate / mac_only / rotate_only step by step must reproduce walk's
-// accumulator bit for bit (gaps skip the MAC, the final step skips the
-// rotation).
-TEST(SimdDispatch, WalkMatchesStepMajorComposition) {
-  std::mt19937 rng(13);
-  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
-    if (!IsaSupported(isa)) continue;
-    const Kernels& k = ForIsa(isa);
-    const std::size_t steps = 23;
-    const std::size_t n = 53;
-    Operands w(rng, steps, n);
-
-    std::vector<double> acc_re(n, 0.0), acc_im(n, 0.0);
-    std::vector<double> cur_re = w.base_re, cur_im = w.base_im;
-    for (std::size_t s = 0; s < steps; ++s) {
-      const double a_re = w.comb[2 * s];
-      const double a_im = w.comb[2 * s + 1];
-      const bool gap = a_re == 0.0 && a_im == 0.0;
-      const bool last = s + 1 == steps;
-      if (!gap && !last) {
-        k.mac_rotate(a_re, a_im, w.step_re.data(), w.step_im.data(),
-                     cur_re.data(), cur_im.data(), acc_re.data(),
-                     acc_im.data(), n);
-      } else if (!gap) {
-        k.mac_only(a_re, a_im, cur_re.data(), cur_im.data(), acc_re.data(),
-                   acc_im.data(), n);
-      } else if (!last) {
-        k.rotate_only(w.step_re.data(), w.step_im.data(), cur_re.data(),
-                      cur_im.data(), n);
-      }
-    }
-
-    k.walk(w.comb.data(), steps, w.base_re.data(), w.base_im.data(),
-           w.step_re.data(), w.step_im.data(), w.acc_re.data(),
-           w.acc_im.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(w.acc_re[i], acc_re[i]) << IsaName(isa) << " i=" << i;
-      ASSERT_EQ(w.acc_im[i], acc_im[i]) << IsaName(isa) << " i=" << i;
     }
   }
 }
