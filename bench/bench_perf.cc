@@ -11,12 +11,9 @@
 // --json=PATH to dump everything as machine-readable JSON (the perf
 // trajectory baseline), --sweep-rounds=N to size the batch, --no-micro to
 // skip the google-benchmark section, --mode=localize|fullphy|dataset|obs|
-// search|track|soak to run one sweep family only. The search sweep compares
-// the exhaustive and coarse-to-fine likelihood searches (ms per fused map)
-// and audits position parity across the whole dataset; --search-guard turns
-// the audit into a regression gate (exit 1 on any position mismatch). The
-// track sweep runs a moving tag through the TrackedLocalizer, gated coarse
-// search vs ungated (--track-parity gates the gating-off bit-parity audit);
+// track|soak to run one sweep family only. The track sweep runs a moving
+// tag through the TrackedLocalizer, Kalman-gated map windows vs ungated
+// (--track-parity gates the gating-off bit-parity audit);
 // --mode=soak --wire swaps the in-process soak for a TCP-loopback smoke.
 // Repeated sweeps report bench::Stats (min/p50/stddev over warmup+reps) so
 // regressions can be told from run-to-run noise.
@@ -533,131 +530,6 @@ struct ObsOverhead {
   bloc::bench::Stats disabled_stats;
 };
 
-struct SearchComparison {
-  double exhaustive_ms_per_map = 0.0;
-  double coarse_ms_per_map = 0.0;
-  double speedup = 0.0;
-  bloc::bench::Stats exhaustive_stats;
-  bloc::bench::Stats coarse_stats;
-  std::size_t parity_rounds = 0;
-  std::size_t parity_mismatches = 0;
-  std::size_t fallback_rounds = 0;
-  /// Kernel evaluations the coarse path performed / what exhaustive would.
-  double evaluated_fraction = 0.0;
-};
-
-/// Times the fused-map stage (FusedMapInto on a reused workspace, fuse-order
-/// derivation included) for at least `min_seconds`, single-threaded. Cycles
-/// round-robin through `rounds` so the average reflects the whole workload —
-/// the coarse-to-fine cost varies per round with the pruning rate, and timing
-/// a single round would over- or under-state it.
-double TimeMapStage(const core::Localizer& localizer,
-                    const std::vector<core::CorrectedChannels>& rounds,
-                    core::LocalizerWorkspace& ws, double min_seconds = 0.5) {
-  ws.corrected = rounds[0];
-  localizer.FusedMapInto(ws);  // warm-up: plans + pyramid levels
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t maps = 0;
-  double elapsed = 0.0;
-  do {
-    ws.corrected = rounds[maps % rounds.size()];
-    localizer.FusedMapInto(ws);
-    benchmark::DoNotOptimize(ws.fused);
-    ++maps;
-    elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-  } while (elapsed < min_seconds || maps % rounds.size() != 0);
-  return 1e3 * elapsed / static_cast<double>(maps);
-}
-
-/// The coarse-to-fine search regression check: map-stage latency exhaustive
-/// vs coarse on the fig9 workload, plus a full-dataset position-parity and
-/// pruning-rate audit (selected positions must be bit-identical).
-SearchComparison RunSearchComparison(std::size_t coarse_stride) {
-  std::cerr << "comparing likelihood search strategies on the fig9 "
-               "workload...\n";
-  sim::DatasetOptions options;
-  options.locations = 40;
-  const sim::Dataset dataset =
-      sim::GenerateDataset(sim::PaperTestbed(1), options);
-
-  core::LocalizerConfig exhaustive_config = sim::PaperLocalizerConfig(dataset);
-  core::LocalizerConfig coarse_config = exhaustive_config;
-  coarse_config.spectra.search.mode = core::SearchMode::kCoarseToFine;
-  if (coarse_stride > 0) {
-    coarse_config.spectra.search.coarse_stride = coarse_stride;
-  }
-  const core::Localizer exhaustive(dataset.deployment, exhaustive_config);
-  const core::Localizer coarse(dataset.deployment, coarse_config);
-
-  std::vector<core::CorrectedChannels> corrected;
-  corrected.reserve(dataset.rounds.size());
-  for (const net::MeasurementRound& round : dataset.rounds) {
-    corrected.push_back(exhaustive.CorrectedFor(round));
-  }
-
-  SearchComparison cmp;
-  {
-    // Alternating windows: a load spike degrades one rep of both strategies
-    // instead of biasing whichever ran during it. The scalar is the min
-    // (filters scheduler noise out of a percent-level comparison, same
-    // rationale as TimeBatchMs below); the full spread goes to the JSON.
-    core::LocalizerWorkspace ews, cws;
-    std::vector<double> esamples, csamples;
-    TimeMapStage(exhaustive, corrected, ews);  // warmup: plans + pyramid
-    TimeMapStage(coarse, corrected, cws);
-    for (int rep = 0; rep < 5; ++rep) {
-      esamples.push_back(TimeMapStage(exhaustive, corrected, ews));
-      csamples.push_back(TimeMapStage(coarse, corrected, cws));
-    }
-    cmp.exhaustive_stats = bloc::bench::Stats::Of(std::move(esamples));
-    cmp.coarse_stats = bloc::bench::Stats::Of(std::move(csamples));
-    cmp.exhaustive_ms_per_map = cmp.exhaustive_stats.min;
-    cmp.coarse_ms_per_map = cmp.coarse_stats.min;
-  }
-  cmp.speedup = cmp.exhaustive_ms_per_map / cmp.coarse_ms_per_map;
-
-  core::LocalizerWorkspace ews, cws;
-  std::size_t evaluated = 0;
-  std::size_t exhaustive_cells = 0;
-  for (const net::MeasurementRound& round : dataset.rounds) {
-    const core::LocationResult e = exhaustive.Locate(round, ews);
-    const core::LocationResult c = coarse.Locate(round, cws);
-    ++cmp.parity_rounds;
-    if (e.position.x != c.position.x || e.position.y != c.position.y) {
-      ++cmp.parity_mismatches;
-    }
-    if (cws.search.stats.fell_back) ++cmp.fallback_rounds;
-    evaluated += cws.search.stats.cells_evaluated;
-    exhaustive_cells +=
-        cws.search.stats.cells_evaluated + cws.search.stats.cells_pruned;
-  }
-  if (exhaustive_cells > 0) {
-    cmp.evaluated_fraction = static_cast<double>(evaluated) /
-                             static_cast<double>(exhaustive_cells);
-  }
-
-  std::cout << "\n=== likelihood search (fig9 workload, 1 thread, fused "
-               "4-anchor map) ===\n"
-            << "  exhaustive search     " << cmp.exhaustive_ms_per_map
-            << " ms/map (p50 " << cmp.exhaustive_stats.p50 << ", stddev "
-            << cmp.exhaustive_stats.stddev << ")\n"
-            << "  coarse-to-fine search " << cmp.coarse_ms_per_map
-            << " ms/map (p50 " << cmp.coarse_stats.p50 << ", stddev "
-            << cmp.coarse_stats.stddev << ")  (x" << cmp.speedup
-            << " speedup)\n"
-            << "  parity: " << cmp.parity_mismatches << "/"
-            << cmp.parity_rounds << " position mismatches, "
-            << cmp.fallback_rounds << " fallbacks, "
-            << 100.0 * cmp.evaluated_fraction << "% of cells evaluated\n";
-  if (cmp.parity_mismatches > 0) {
-    std::cerr << "bench_perf: WARNING coarse-to-fine selected different "
-                 "positions\n";
-  }
-  return cmp;
-}
-
 /// Best-of-`reps` LocateBatch timing (ms/round) under the current metrics
 /// switch; the minimum filters scheduler noise out of a percent-level
 /// comparison.
@@ -742,7 +614,7 @@ ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
 
 // ---------------------------------------------------------------------------
 // Track mode (--mode=track): a moving tag (waypoint motion) localized
-// through one TrackedLocalizer session, gated coarse search vs ungated.
+// through one TrackedLocalizer session, Kalman-gated map windows vs ungated.
 // Reports ms/round (bench::Stats), the evaluated-cell fraction, and the
 // trajectory-error medians; --track-parity turns the gating-off raw-fix
 // parity audit into a regression gate (exit 1 on any mismatch).
@@ -756,7 +628,7 @@ struct TrackComparison {
   std::size_t gate_misses = 0;
   std::uint64_t cells_ungated = 0;
   std::uint64_t cells_gated = 0;
-  /// Cells the gated pass evaluated / what the ungated coarse pass did.
+  /// Cells the gated pass evaluated / what the ungated pass did.
   double evaluated_fraction = 0.0;
   double raw_median_m = 0.0;
   double tracked_median_m = 0.0;
@@ -765,8 +637,7 @@ struct TrackComparison {
   std::size_t parity_mismatches = 0;
 };
 
-TrackComparison RunTrackComparison(std::size_t locations,
-                                   std::size_t coarse_stride) {
+TrackComparison RunTrackComparison(std::size_t locations) {
   std::cerr << "generating moving-tag workload (" << locations
             << " rounds, waypoint motion) for the track sweep...\n";
   sim::ScenarioConfig scenario = sim::PaperTestbed(1);
@@ -777,7 +648,6 @@ TrackComparison RunTrackComparison(std::size_t locations,
 
   core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
   config.spectra.search.mode = core::SearchMode::kCoarseToFine;
-  if (coarse_stride > 0) config.spectra.search.coarse_stride = coarse_stride;
   const core::Localizer localizer(dataset.deployment, config);
 
   TrackComparison cmp;
@@ -856,10 +726,10 @@ TrackComparison RunTrackComparison(std::size_t locations,
 
   std::cout << "\n=== track-while-localize (waypoint trajectory, "
             << cmp.rounds << " rounds, 1 thread) ===\n"
-            << "  ungated coarse  " << cmp.ungated_ms_per_round.min
+            << "  ungated         " << cmp.ungated_ms_per_round.min
             << " ms/round (p50 " << cmp.ungated_ms_per_round.p50
             << ", stddev " << cmp.ungated_ms_per_round.stddev << ")\n"
-            << "  gated coarse    " << cmp.gated_ms_per_round.min
+            << "  gated           " << cmp.gated_ms_per_round.min
             << " ms/round (p50 " << cmp.gated_ms_per_round.p50 << ", stddev "
             << cmp.gated_ms_per_round.stddev << ")  (x" << cmp.speedup
             << " speedup)\n"
@@ -1497,7 +1367,6 @@ void WriteSweepJson(const std::string& path,
                     const std::vector<SweepPoint>* fullphy_sweep,
                     const DatasetSweep* dataset,
                     const ObsOverhead* obs_overhead,
-                    const SearchComparison* search,
                     const TrackComparison* track,
                     const SoakResult* soak,
                     const WireSmoke* wire,
@@ -1527,21 +1396,6 @@ void WriteSweepJson(const std::string& path,
     fullphy->reference_stats.WriteJson(out);
     out << ", \"planned_stats\": ";
     fullphy->planned_stats.WriteJson(out);
-    out << "}";
-  }
-  if (search != nullptr) {
-    out << ",\n  \"search\": {\"exhaustive_ms_per_map\": "
-        << search->exhaustive_ms_per_map
-        << ", \"coarse_ms_per_map\": " << search->coarse_ms_per_map
-        << ", \"speedup\": " << search->speedup
-        << ", \"parity_rounds\": " << search->parity_rounds
-        << ", \"parity_mismatches\": " << search->parity_mismatches
-        << ", \"fallback_rounds\": " << search->fallback_rounds
-        << ", \"evaluated_fraction\": " << search->evaluated_fraction
-        << ", \"exhaustive_stats\": ";
-    search->exhaustive_stats.WriteJson(out);
-    out << ", \"coarse_stats\": ";
-    search->coarse_stats.WriteJson(out);
     out << "}";
   }
   if (track != nullptr) {
@@ -1649,7 +1503,6 @@ std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
   using bloc::bench::JsonValue;
   bloc::bench::RegressGate gate(tol_pct);
   std::optional<KernelComparison> kernels;
-  std::optional<SearchComparison> search;
   std::optional<ObsOverhead> obs_overhead;
 
   for (const std::string& path : paths) {
@@ -1670,25 +1523,6 @@ std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
         gate.AtMost("likelihood_map.steering_plan_ms_per_map",
                     base->Number("steering_plan_ms_per_map"),
                     kernels->plan_ms_per_map);
-      }
-    }
-
-    if (const JsonValue* base = root->Find("search")) {
-      if (!search) search = RunSearchComparison(common.coarse_stride);
-      gate.Zero("search.parity_mismatches",
-                static_cast<double>(search->parity_mismatches));
-      gate.AtMost("search.evaluated_fraction",
-                  base->Number("evaluated_fraction"),
-                  search->evaluated_fraction);
-      gate.AtLeast("search.speedup", base->Number("speedup"),
-                   search->speedup,
-                   BaselineCv(*base, "exhaustive_stats") +
-                       BaselineCv(*base, "coarse_stats"));
-      if (gate_abs) {
-        gate.AtMost("search.coarse_ms_per_map",
-                    base->Number("coarse_ms_per_map"),
-                    search->coarse_ms_per_map,
-                    BaselineCv(*base, "coarse_stats"));
       }
     }
 
@@ -1767,12 +1601,11 @@ int main(int argc, char** argv) {
   std::string json_path;
   bloc::bench::CommonFlags common;
   std::string mode = "all";  // all | localize | fullphy | dataset | obs |
-                             // search | track | soak | regress
+                             // track | soak | regress
   std::size_t sweep_rounds = 8;
   std::size_t dataset_locations = 100;
   std::size_t track_locations = 100;
   double obs_guard_pct = -1.0;  // <0: report only, no gate
-  bool search_guard = false;
   bool track_parity = false;
   bool run_micro = true;
   SoakConfig soak_config;
@@ -1804,8 +1637,6 @@ int main(int argc, char** argv) {
       json_path = arg.substr(7);
     } else if (arg.starts_with("--obs-guard=")) {
       obs_guard_pct = std::stod(std::string(arg.substr(12)));
-    } else if (arg == "--search-guard") {
-      search_guard = true;
     } else if (arg == "--track-parity") {
       track_parity = true;
     } else if (arg == "--wire") {
@@ -1860,11 +1691,11 @@ int main(int argc, char** argv) {
     } else if (arg.starts_with("--mode=")) {
       mode = arg.substr(7);
       if (mode != "all" && mode != "localize" && mode != "fullphy" &&
-          mode != "dataset" && mode != "obs" && mode != "search" &&
-          mode != "track" && mode != "soak" && mode != "regress") {
+          mode != "dataset" && mode != "obs" && mode != "track" &&
+          mode != "soak" && mode != "regress") {
         std::cerr << "bench_perf: unknown --mode=" << mode
                   << " (expected all, localize, fullphy, dataset, obs, "
-                     "search, track, soak or regress)\n";
+                     "track, soak or regress)\n";
         return 1;
       }
     } else if (arg == "--no-micro") {
@@ -1892,7 +1723,6 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> fullphy_sweep;
   DatasetSweep dataset;
   ObsOverhead obs_overhead;
-  SearchComparison search;
   TrackComparison track;
   SoakResult soak;
   WireSmoke wire;
@@ -1900,7 +1730,6 @@ int main(int argc, char** argv) {
   const bool run_fullphy = mode == "all" || mode == "fullphy";
   const bool run_dataset = mode == "all" || mode == "dataset";
   const bool run_obs = mode == "all" || mode == "obs";
-  const bool run_search = mode == "all" || mode == "search";
   const bool run_track = mode == "track";  // opt-in: moving-tag dataset
   // Opt-in: minutes of load generation. --wire swaps the in-process sweep
   // for the TCP-loopback smoke.
@@ -1939,9 +1768,7 @@ int main(int argc, char** argv) {
     kernels = RunKernelComparison();
     sweep = RunThroughputSweep(sweep_rounds);
   }
-  if (run_search) search = RunSearchComparison(common.coarse_stride);
-  if (run_track) track = RunTrackComparison(track_locations,
-                                            common.coarse_stride);
+  if (run_track) track = RunTrackComparison(track_locations);
   if (run_dataset) dataset = RunDatasetSweep(dataset_locations);
   if (run_obs) obs_overhead = RunObsOverheadCheck(sweep_rounds);
   if (run_soak) {
@@ -1956,7 +1783,6 @@ int main(int argc, char** argv) {
                    run_fullphy ? &fullphy_sweep : nullptr,
                    run_dataset ? &dataset : nullptr,
                    run_obs ? &obs_overhead : nullptr,
-                   run_search ? &search : nullptr,
                    run_track ? &track : nullptr,
                    run_soak ? &soak : nullptr,
                    run_wire ? &wire : nullptr, sweep_rounds);
@@ -1974,12 +1800,6 @@ int main(int argc, char** argv) {
     std::cerr << "bench_perf: observability overhead "
               << obs_overhead.overhead_pct << "% exceeds the --obs-guard="
               << obs_guard_pct << "% budget\n";
-    return 1;
-  }
-  if (run_search && search_guard && search.parity_mismatches > 0) {
-    std::cerr << "bench_perf: coarse-to-fine search selected "
-              << search.parity_mismatches << "/" << search.parity_rounds
-              << " positions differing from exhaustive (--search-guard)\n";
     return 1;
   }
   if (run_track && track_parity && track.parity_mismatches > 0) {

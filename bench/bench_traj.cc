@@ -2,8 +2,8 @@
 // moves through the ray-traced room while every round is localized, and the
 // per-round raw fixes are compared against the Kalman-smoothed track — the
 // tracked estimate should beat the raw fixes on median trajectory error.
-// With --search=coarse a third series runs the search gated by the track's
-// prediction, reporting the evaluated-cell saving and any gate fallbacks.
+// With --search=coarse a third series runs the map stage gated by the
+// track's prediction, reporting the evaluated-cell saving and gate misses.
 // The anchor-handoff section follows the tag with its k nearest anchors and
 // counts serving-subset changes across the room.
 //
@@ -14,6 +14,9 @@
 // --track-parity audits the gating-off contract: the TrackedLocalizer's raw
 // fixes must be bit-identical to the plain engine pipeline (exit 1 on any
 // mismatch) — tracking is a pure post-stage unless gating is asked for.
+// With --search=coarse it also gates accuracy: gated windows cannot be bit-
+// identical, so the gated tracked median may exceed the ungated one by at
+// most kGatedMedianTolerance (exit 1 beyond).
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -25,6 +28,10 @@
 namespace {
 
 using namespace bloc;
+
+/// Largest relative excess of the gated tracked median over the ungated
+/// one that --track-parity accepts.
+constexpr double kGatedMedianTolerance = 0.10;
 
 struct TrajRun {
   std::vector<eval::TrajectoryPoint> points;
@@ -112,7 +119,7 @@ int main(int argc, char** argv) {
   series.push_back({"raw fixes", dsp::MakeCdf(summary.raw_errors)});
   series.push_back({"tracked", dsp::MakeCdf(summary.tracked_errors)});
 
-  // Gated search (needs the coarse strategy; exhaustive ignores gates).
+  // Gated map windows (TrackedLocalizer gates only in kCoarseToFine).
   bool ran_gated = false;
   eval::TrajectorySummary gated_summary;
   TrajRun gated;
@@ -135,7 +142,7 @@ int main(int argc, char** argv) {
             ? 1.0 - static_cast<double>(gated.cells_evaluated) /
                         static_cast<double>(smoothed.cells_evaluated)
             : 0.0;
-    std::cout << "gated search: " << gated.gated_rounds << "/"
+    std::cout << "gated maps: " << gated.gated_rounds << "/"
               << dataset.rounds.size() << " rounds gated, "
               << gated.gate_misses << " gate misses, cells evaluated "
               << gated.cells_evaluated << " vs " << smoothed.cells_evaluated
@@ -189,6 +196,16 @@ int main(int argc, char** argv) {
     }
     std::cout << "track-parity OK: " << reference.size()
               << " raw fixes bit-identical with gating off\n";
+    const double gated_limit =
+        summary.tracked.median * (1.0 + kGatedMedianTolerance);
+    if (ran_gated && gated_summary.tracked.median > gated_limit) {
+      std::cerr << "TRACK-PARITY FAIL: gated tracked median "
+                << bench::FmtCm(gated_summary.tracked.median)
+                << " exceeds the ungated "
+                << bench::FmtCm(summary.tracked.median) << " by more than "
+                << eval::Fmt(100.0 * kGatedMedianTolerance, 0) << "%\n";
+      return EXIT_FAILURE;
+    }
   }
 
   bench::FinishObservability(setup);

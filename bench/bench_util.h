@@ -31,9 +31,8 @@ namespace bloc::bench {
 ///   --threads=N        engine/synthesis workers (0 = hardware_concurrency)
 ///   --metrics-json=P   RunReport JSON at exit
 ///   --trace=P          Chrome trace JSON at exit (enables tracing)
-///   --search=MODE      likelihood search: "exhaustive" or "coarse"
-///   --coarse-stride=N  coarse decimation override (0 = SearchConfig default)
-///   --search-parity    assert coarse == exhaustive positions every round
+///   --search=MODE      "exhaustive", or "coarse" to let TrackedLocalizer
+///                      gate the map stage with its Kalman prediction
 /// CliArgs-based benches call ReadFrom; bench_perf (which forwards unknown
 /// args to google-benchmark) feeds each argument through TryParse.
 struct CommonFlags {
@@ -41,16 +40,12 @@ struct CommonFlags {
   std::string metrics_json;
   std::string trace_path;
   std::string search = "exhaustive";
-  std::size_t coarse_stride = 0;
-  bool search_parity = false;
 
   void ReadFrom(const sim::CliArgs& args) {
     threads = args.Threads();
     metrics_json = args.Str("metrics-json", metrics_json);
     trace_path = args.Str("trace", trace_path);
     search = args.Str("search", search);
-    coarse_stride = args.SizeT("coarse-stride", coarse_stride);
-    if (args.Flag("search-parity")) search_parity = true;
   }
 
   /// Consumes one `--key=value` argument; false leaves it for the caller.
@@ -77,17 +72,6 @@ struct CommonFlags {
       search = std::string(value("--search="));
       return true;
     }
-    if (arg.rfind("--coarse-stride=", 0) == 0) {
-      const std::string_view v = value("--coarse-stride=");
-      std::size_t n = 0;
-      std::from_chars(v.data(), v.data() + v.size(), n);
-      coarse_stride = n;
-      return true;
-    }
-    if (arg == "--search-parity") {
-      search_parity = true;
-      return true;
-    }
     return false;
   }
 
@@ -96,21 +80,14 @@ struct CommonFlags {
     if (!trace_path.empty()) obs::SetTracingEnabled(true);
   }
 
-  core::SearchConfig MakeSearchConfig() const {
-    core::SearchConfig sc;
-    if (search == "coarse") {
-      sc.mode = core::SearchMode::kCoarseToFine;
-    } else if (search != "exhaustive") {
+  /// Applies the --search flag onto an existing localizer config.
+  void Apply(core::LocalizerConfig& config) const {
+    if (search != "exhaustive" && search != "coarse") {
       throw std::invalid_argument("--search must be 'exhaustive' or 'coarse'");
     }
-    if (coarse_stride > 0) sc.coarse_stride = coarse_stride;
-    sc.parity_check = search_parity;
-    return sc;
-  }
-
-  /// Applies the search flags onto an existing localizer config.
-  void Apply(core::LocalizerConfig& config) const {
-    config.spectra.search = MakeSearchConfig();
+    config.spectra.search.mode = search == "coarse"
+                                     ? core::SearchMode::kCoarseToFine
+                                     : core::SearchMode::kExhaustive;
   }
 };
 
@@ -275,8 +252,8 @@ class ExperimentDriver {
     return *primary_;
   }
 
-  /// The paper localizer config for `dataset` with the shared search flags
-  /// (--search / --coarse-stride / --search-parity) applied — every bench
+  /// The paper localizer config for `dataset` with the shared --search flag
+  /// applied — every bench
   /// evaluates through this so the flags reach the whole suite.
   core::LocalizerConfig LocalizerConfig(const sim::Dataset& dataset) const {
     core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);

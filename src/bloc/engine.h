@@ -46,9 +46,7 @@ class LocalizationEngine {
                      EngineOptions options = {});
 
   /// Localizes one round on the calling thread, fanning its per-anchor
-  /// maps out on the pool. With SearchMode::kExhaustive the maps run in
-  /// parallel; coarse-to-fine rounds run the serial search strategy
-  /// (bit-identical selected positions either way).
+  /// maps out on the pool (bit-identical to the serial Localizer::Locate).
   LocationResult Locate(const net::MeasurementRound& round);
 
   /// Localizes many rounds, distributing them across the pool. results[i]

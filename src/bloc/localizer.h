@@ -7,6 +7,9 @@
 // instead of reallocating per round. Locate is the one pipeline: given a
 // thread pool it fans the per-anchor maps out on it, which is how
 // LocalizationEngine (bloc/engine.h) runs it, with bit-identical results.
+// The map stage is one code path too: every anchor's Eq. 17 map runs over a
+// cell window, the whole grid unless the caller sets a gate (SearchGate,
+// DESIGN.md §5e), and the maps fuse in anchor-id order.
 #pragma once
 
 #include <array>
@@ -21,6 +24,10 @@
 #include "bloc/steering_plan.h"
 #include "dsp/grid2d.h"
 #include "net/collector.h"
+
+namespace bloc::dsp {
+class ThreadPool;
+}  // namespace bloc::dsp
 
 namespace bloc::core {
 
@@ -50,78 +57,54 @@ struct LocationResult {
   std::shared_ptr<const dsp::Grid2D> fused_map;
 };
 
-/// Per-round outcome of the search strategy, written by BuildFusedInto and
-/// read by the tests and the obs counters. "Cells" count (cell, anchor)
-/// kernel evaluations; exhaustive rounds evaluate cells x anchors of them.
-/// Why a coarse-to-fine round ran exhaustively instead.
-enum class FallbackReason : std::uint8_t {
-  kNone = 0,        // the coarse path produced the map
-  kConfig,          // inapplicable configuration (kernel/stride/threshold)
-  kDegenerate,      // an anchor map or the fused surface had no positive max
-  kFractionGuard,   // survivor set too large for pruning to pay
-  kBoundViolation,  // a refined value exceeded its block bound (canary)
-  kGateMiss,        // the search gate held no usable likelihood mass
+/// A rectangle of grid cells: columns [col0, col1) of rows [row0, row1).
+struct CellWindow {
+  std::size_t col0 = 0;
+  std::size_t col1 = 0;
+  std::size_t row0 = 0;
+  std::size_t row1 = 0;
+
+  /// The window covering every cell of `spec`.
+  static CellWindow Full(const dsp::GridSpec& spec) {
+    return {0, spec.Cols(), 0, spec.Rows()};
+  }
+  std::size_t cells() const { return (col1 - col0) * (row1 - row0); }
+  bool operator==(const CellWindow&) const = default;
 };
 
-struct SearchStats {
-  /// The coarse-to-fine path produced this round's map.
-  bool used_coarse = false;
-  /// Coarse search was requested but the round ran exhaustively (bound
-  /// violation, degenerate map, or pruning not paying).
-  bool fell_back = false;
-  FallbackReason fallback_reason = FallbackReason::kNone;
-  /// The survivor search ran inside LocalizerWorkspace::gate.
-  bool gated = false;
-  /// Why an active gate was abandoned this round (kGateMiss when the gated
-  /// region was empty or degenerate; the round then re-ran ungated through
-  /// the usual coarse -> exhaustive chain).
-  FallbackReason gate_fallback = FallbackReason::kNone;
-  std::size_t cells_evaluated = 0;
-  std::size_t cells_pruned = 0;
-  /// Blocks refined at full resolution (core + halo).
-  std::size_t regions_refined = 0;
-};
-
-/// Scratch of the coarse-to-fine search (DESIGN.md §5e). Indexed by fuse-
-/// order slot i and row-major block b; sized on first use and reused.
-struct SearchScratch {
-  std::vector<double> coarse;      // [i * blocks + b] raw coarse samples
-  std::vector<double> bound;       // [i * blocks + b] inflated upper bounds
-  std::vector<double> fused_coarse;  // [b] fused coarse samples and bounds
-  std::vector<double> anchor_max;  // [i] exact per-anchor fine maximum M_i
-  std::vector<double> values;      // per-anchor refined magnitudes
-  /// [i] anchor i's band table (BuildBandTable), built once per round and
-  /// shared by every subset evaluation of that anchor.
-  std::vector<BandTable> tables;
-  std::vector<std::uint8_t> block_flag;  // 0 pruned, 1 core, 2 halo
-  /// Survivor cells as contiguous row runs (see JointLikelihoodSpansInto);
-  /// `values` holds the spans' kernel output concatenated in order.
-  std::vector<CellSpan> spans;
-  /// Branch-and-bound scratch of the exact per-anchor maximum: candidate
-  /// blocks sorted by bound, the current batch's fine cells, each cell's
-  /// owning block, and the kernel output.
-  std::vector<std::uint32_t> cand;
-  std::vector<std::uint32_t> cand_cells;
-  std::vector<std::uint32_t> cand_cell_block;
-  std::vector<double> cand_values;
-  dsp::Grid2D parity_map;  // exhaustive map in parity mode
-  SearchStats stats;
-};
-
-/// Optional per-round search gate (track-while-localize, DESIGN.md §5g):
-/// when active, the coarse-to-fine strategy restricts the survivor search
-/// to the blocks intersecting the square of half-width `radius_m` around
-/// `center` — typically the Kalman prediction, sized by its covariance.
-/// Refined cells keep the exhaustive path's exact per-cell values and the
-/// per-anchor normalizers become the exact maxima over the gated region;
-/// the map is zero outside. When the gate holds no usable likelihood mass
-/// the round re-runs ungated (FallbackReason::kGateMiss is recorded in
-/// SearchStats::gate_fallback). Ignored by the exhaustive strategy; with
-/// `active` false the pipeline is bit-identical to the ungated path.
+/// Optional per-round gate (track-while-localize, DESIGN.md §5g): the
+/// square of half-width `radius_m` around `center`, typically the Kalman
+/// prediction sized by its covariance. When active, the map stage evaluates
+/// every anchor map over the gate's cells dilated by the scoring halo,
+/// normalizes each by its maximum over that window and leaves the fused
+/// map zero outside it. A gate whose window covers the whole grid runs the
+/// ungated path. A miss — a non-finite center, a non-finite or non-positive
+/// radius, a window entirely off the grid, or an anchor with no positive
+/// value inside the window — re-runs the round over the whole grid and is
+/// recorded in SearchStats::gate_missed.
 struct SearchGate {
   bool active = false;
   geom::Vec2 center;
   double radius_m = 0.0;
+};
+
+/// Per-round outcome of the map stage, read by the tracker, the tests and
+/// the obs counters.
+struct SearchStats {
+  /// The maps ran over a gate window smaller than the grid.
+  bool gated = false;
+  /// An active gate missed and the round ran over the whole grid.
+  bool gate_missed = false;
+  /// (cell, anchor) kernel evaluations, a missed gate's included.
+  std::size_t cells_evaluated = 0;
+};
+
+/// Map-stage scratch: each fuse-order slot's pre-normalization maximum, the
+/// window the round's maps ran over and the round's stats.
+struct SearchScratch {
+  std::vector<double> anchor_peaks;
+  CellWindow window;
+  SearchStats stats;
 };
 
 /// All per-round scratch of the staged pipeline. Owned by the caller (one
@@ -143,9 +126,9 @@ struct LocalizerWorkspace {
   /// result without a deep copy; the next round allocates a fresh grid only
   /// if the previous one is still referenced by a result.
   std::shared_ptr<dsp::Grid2D> fused;
-  /// Coarse-to-fine search scratch and per-round stats.
+  /// Map-stage scratch and per-round stats.
   SearchScratch search;
-  /// Caller-set per-round search gate (see SearchGate). The search never
+  /// Caller-set per-round gate (see SearchGate). The map stage never
   /// mutates it; callers that gate one round must clear `active` after.
   SearchGate gate;
 
@@ -180,17 +163,16 @@ class Localizer {
   /// diagnostics and the microbenchmarks.
   CorrectedChannels CorrectedFor(const net::MeasurementRound& round) const;
 
-  /// Builds the fused (cross-anchor) likelihood map without peak selection,
-  /// via the configured search strategy. With SearchMode::kCoarseToFine the
-  /// result is partial: exact in every refined block, zero elsewhere — peak
-  /// selection over it is bit-identical (see DESIGN.md §5e).
+  /// Builds the fused (cross-anchor) likelihood map of the whole grid
+  /// without peak selection.
   dsp::Grid2D FusedMap(const CorrectedChannels& corrected) const;
 
-  /// Allocation-free map stage over an already-corrected round: (re)derives
-  /// ws.fuse_order from ws.corrected and runs the configured search
-  /// strategy into ws.EnsureFused(). The map-stage body of Locate, exposed
-  /// for the benchmarks.
-  void FusedMapInto(LocalizerWorkspace& ws) const;
+  /// The map stage of Locate over an already-corrected round: (re)derives
+  /// ws.fuse_order from ws.corrected and builds the fused map into
+  /// ws.EnsureFused(), over ws.gate's window when it is active. `map_pool`
+  /// fans the per-anchor maps out as in Locate (bit-identical either way).
+  void FusedMapInto(LocalizerWorkspace& ws,
+                    const dsp::ThreadPool* map_pool = nullptr) const;
 
   // --- Pipeline stages of Locate, in execution order ---
 
@@ -207,17 +189,19 @@ class Localizer {
   void FuseOrder(const CorrectedChannels& corrected,
                  std::vector<std::size_t>& order) const;
 
-  /// Per-anchor spectra: the peak-normalized joint likelihood map of
-  /// `corrected.anchors[anchor_index]`, written into `map` (reshaped to the
-  /// configured grid). Safe to call concurrently for distinct anchors with
-  /// distinct `map`/`ws`.
-  void AnchorMapInto(const CorrectedChannels& corrected,
-                     std::size_t anchor_index, dsp::Grid2D& map,
-                     SpectraWorkspace& ws) const;
+  /// Per-anchor spectra: the joint likelihood map of
+  /// `corrected.anchors[anchor_index]` over `window` (nullptr: the whole
+  /// grid), written into `map` (reshaped to the configured grid, zero
+  /// outside the window) and divided by its maximum. Returns that maximum;
+  /// when it is not positive the map is left unnormalized. Safe to call
+  /// concurrently for distinct anchors with distinct `map`/`ws`.
+  double AnchorMapInto(const CorrectedChannels& corrected,
+                       std::size_t anchor_index, dsp::Grid2D& map,
+                       SpectraWorkspace& ws,
+                       const CellWindow* window = nullptr) const;
 
   /// The Eq. 17 evaluation inputs of `corrected.anchors[anchor_index]`
-  /// under this deployment/config — what AnchorMapInto evaluates. Exposed
-  /// for the search strategies, which evaluate cell subsets directly.
+  /// under this deployment/config — what AnchorMapInto evaluates.
   SpectraInput SpectraInputFor(const CorrectedChannels& corrected,
                                std::size_t anchor_index) const;
 
@@ -236,9 +220,6 @@ class Localizer {
   /// (the engine's workers all hit this one cache).
   SteeringPlanCache& plan_cache() const { return *plan_cache_; }
 
-  /// The search strategy the config selected (process-wide singleton).
-  const SearchStrategy& search() const { return *search_; }
-
  private:
   Deployment deployment_;
   LocalizerConfig config_;
@@ -248,7 +229,6 @@ class Localizer {
   std::array<bool, 256> channel_allowed_{};
   bool filter_channels_ = false;
   std::shared_ptr<SteeringPlanCache> plan_cache_;
-  const SearchStrategy* search_ = nullptr;
 };
 
 }  // namespace bloc::core

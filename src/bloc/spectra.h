@@ -24,10 +24,6 @@
 #include "dsp/grid2d.h"
 #include "geom/vec2.h"
 
-namespace bloc::dsp {
-class ThreadPool;
-}  // namespace bloc::dsp
-
 namespace bloc::core {
 
 class SteeringPlan;
@@ -54,53 +50,23 @@ enum class LikelihoodKernel {
   kReference,
 };
 
-/// How the likelihood surface is searched for the position estimate.
+/// Whether TrackedLocalizer gates the map stage with its Kalman prediction.
+/// The Localizer itself never reads the mode: every round evaluates the
+/// Eq. 17 maps over a cell window (LocalizerWorkspace::gate, DESIGN.md
+/// §5e), the whole grid unless a caller sets a gate. Only TrackedLocalizer,
+/// which gates only in kCoarseToFine, and bench_traj read this; the names
+/// stay for the benchmark harness that selects them.
 enum class SearchMode {
-  /// Evaluate every cell of every anchor map at full resolution (the
-  /// reference behavior).
+  /// Ungated: every cell of every anchor map.
   kExhaustive,
-  /// Hierarchical coarse-to-fine: evaluate a strided coarse level, bound
-  /// each block from its coarse neighborhood, refine only the blocks that
-  /// can still matter for peak selection (DESIGN.md §5e). Selected
-  /// positions are bit-identical to exhaustive as long as the block bounds
-  /// hold; violated bounds trigger an automatic exhaustive fallback.
+  /// TrackedLocalizer restricts each round to a window around its
+  /// prediction; ungated rounds are bit-identical to kExhaustive.
   kCoarseToFine,
 };
 
 struct SearchConfig {
+  /// Read only by TrackedLocalizer and bench_traj (see SearchMode).
   SearchMode mode = SearchMode::kExhaustive;
-  /// Coarse decimation: fine cells per block side (>= 2 for coarse mode; a
-  /// smaller value falls back to exhaustive). At the paper's 7.5 cm grid,
-  /// stride 4 samples every 30 cm; the 3x3 coarse neighborhood then spans
-  /// ~0.9 m, wide enough to envelope the fused surface's fringes. Strides
-  /// 3 and 4 prune almost identically on the fig9 workload, but 4 halves
-  /// the coarse-pass and span-bookkeeping overhead (fewer, larger blocks),
-  /// and 5+ starts tripping the bound canary.
-  std::size_t coarse_stride = 4;
-  /// Safety factor kappa on the 3x3-coarse-neighborhood upper bound.
-  /// Per-round worst block-max/neighborhood ratios on the fig9 workload
-  /// cluster around 1.05-1.25, with a tail at 1.34/1.43 and one outlier
-  /// block near 2.0 (a fine peak landing between coarse samples); 1.45
-  /// covers every round that the refine-pass canary would otherwise bounce
-  /// to the exhaustive fallback, while the canary plus the position-parity
-  /// audit absorb anything beyond. Larger values refine more blocks;
-  /// smaller values prune harder at the cost of more canary fallbacks.
-  double bound_inflation = 1.45;
-  /// Refine every block whose fused upper bound reaches this fraction of
-  /// the best fused coarse sample. At or below the FindPeaks floor
-  /// (ScoringConfig min_relative_height, 0.2 by default) the refined map
-  /// reproduces the full peak list; above it, low peaks may be dropped from
-  /// the candidate list while every surviving peak keeps its exact value,
-  /// entropy window and score — the argmax cell is always refined, and the
-  /// selected positions stay bit-identical on the fig9 workloads (asserted
-  /// by the parity tests and the CI parity job).
-  double refine_threshold = 0.9;
-  /// When the survivor set exceeds this fraction of all cells, pruning is
-  /// not paying for its bookkeeping: run the exhaustive path instead.
-  double max_refine_fraction = 0.95;
-  /// Debug/CI mode: recompute every round exhaustively as well and throw
-  /// unless the coarse path selected the bit-identical position.
-  bool parity_check = false;
 };
 
 struct SpectraConfig {
@@ -127,35 +93,9 @@ struct SpectraWorkspace {
   std::size_t comb_steps = 0;
   /// B_j samples of one antenna (the table build's walk output).
   dsp::SplitComplexVec band_samples;
-  /// The round's band table of the full-map kernels.
+  /// The round's band table of the plan kernel (full map or window).
   BandTable table;
 };
-
-class Localizer;
-struct LocalizerWorkspace;
-
-/// Strategy for turning one round's corrected channels into the fused
-/// likelihood map (the map stage of the pipeline). Implementations live in
-/// localizer.cc; instances are stateless process-wide singletons — all
-/// per-round scratch stays in the caller's LocalizerWorkspace.
-class SearchStrategy {
- public:
-  virtual ~SearchStrategy() = default;
-  virtual SearchMode mode() const = 0;
-  /// Computes the round's fused (cross-anchor) map into ws.EnsureFused().
-  /// Requires ws.corrected and ws.fuse_order to be populated (the filter
-  /// and correct stages have run). Peak selection over the result is
-  /// bit-identical across strategies (see SearchMode::kCoarseToFine).
-  /// `map_pool` is the anchor-map executor: nullptr runs the per-anchor
-  /// maps serially on the caller, a pool fans them out with its
-  /// ParallelFor. The result is bit-identical either way.
-  virtual void BuildFusedInto(const Localizer& localizer,
-                              LocalizerWorkspace& ws,
-                              const dsp::ThreadPool* map_pool) const = 0;
-};
-
-/// The singleton strategy implementing `mode`.
-const SearchStrategy& GetSearchStrategy(SearchMode mode);
 
 namespace detail {
 /// Number of antennas the kernels actually process for `input`.

@@ -35,58 +35,6 @@ SteeringPlanKey MakeSteeringPlanKey(const SpectraInput& input,
   return key;
 }
 
-SteeringLevel SteeringLevel::Build(const dsp::GridSpec& spec,
-                                   std::size_t stride) {
-  if (!spec.Valid() || stride == 0) {
-    throw std::invalid_argument("SteeringLevel: invalid spec or stride");
-  }
-  SteeringLevel level;
-  level.stride = stride;
-  level.fine_cols = spec.Cols();
-  level.fine_rows = spec.Rows();
-  if (level.fine_cols * level.fine_rows >
-      std::numeric_limits<std::uint32_t>::max()) {
-    throw std::invalid_argument("SteeringLevel: grid too large");
-  }
-  level.bcols = (level.fine_cols + stride - 1) / stride;
-  level.brows = (level.fine_rows + stride - 1) / stride;
-  level.sample_cells.reserve(level.bcols * level.brows);
-  for (std::size_t br = 0; br < level.brows; ++br) {
-    for (std::size_t bc = 0; bc < level.bcols; ++bc) {
-      // The block's minimum corner is a member cell, so every coarse sample
-      // is an exact fine-grid value (no interpolation anywhere).
-      level.sample_cells.push_back(static_cast<std::uint32_t>(
-          br * stride * level.fine_cols + bc * stride));
-    }
-  }
-  return level;
-}
-
-void SteeringLevel::AppendBlockCells(std::size_t bc, std::size_t br,
-                                     std::vector<std::uint32_t>& out) const {
-  const std::size_t row0 = br * stride;
-  const std::size_t col0 = bc * stride;
-  const std::size_t row1 = std::min(row0 + stride, fine_rows);
-  const std::size_t col1 = std::min(col0 + stride, fine_cols);
-  for (std::size_t row = row0; row < row1; ++row) {
-    for (std::size_t col = col0; col < col1; ++col) {
-      out.push_back(static_cast<std::uint32_t>(row * fine_cols + col));
-    }
-  }
-}
-
-std::shared_ptr<const SteeringLevel> SteeringPlan::Level(
-    std::size_t stride) const {
-  std::lock_guard<std::mutex> lock(level_mu_);
-  for (const auto& level : levels_) {
-    if (level->stride == stride) return level;
-  }
-  levels_.push_back(
-      std::make_shared<const SteeringLevel>(SteeringLevel::Build(key_.grid,
-                                                                 stride)));
-  return levels_.back();
-}
-
 SteeringPlan::SteeringPlan(SteeringPlanKey key) : key_(std::move(key)) {
   if (!key_.grid.Valid()) {
     throw std::invalid_argument("SteeringPlan: invalid grid spec");
@@ -99,6 +47,10 @@ SteeringPlan::SteeringPlan(SteeringPlanKey key) : key_(std::move(key)) {
   const std::size_t rows = spec.Rows();
   const std::size_t antennas = key_.antennas.size();
   cells_ = cols * rows;
+  // Span kernels address cells with 32-bit indices.
+  if (cells_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("SteeringPlan: grid too large");
+  }
 
   // The relative distances, and the D range the band tables must cover.
   rel_d_.reserve(antennas);
@@ -177,8 +129,8 @@ SteeringPlanCache::SteeringPlanCache(SteeringCacheLimits limits)
     : limits_(limits),
       builds_metric_(obs::GetCounter("bloc.steering_plan_cache.builds")),
       lookups_metric_(obs::GetCounter("bloc.steering_plan_cache.lookups")),
-      evictions_metric_(obs::GetCounter("bloc.steering_cache.evictions")),
-      bytes_gauge_(obs::GetGauge("bloc.steering_cache.bytes")) {}
+      evictions_metric_(obs::GetCounter("bloc.steering_plan_cache.evictions")),
+      bytes_gauge_(obs::GetGauge("bloc.steering_plan_cache.bytes")) {}
 
 namespace {
 
@@ -404,30 +356,6 @@ void BuildGridTable(const SpectraInput& input, const SteeringPlan& plan,
 
 }  // namespace
 
-void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
-                            dsp::Grid2D& grid, SpectraWorkspace& ws) {
-  BuildGridTable(input, plan, grid, ws);
-  double* out = grid.data().data();
-  for (std::size_t c = 0; c < plan.num_cells(); ++c) {
-    out[c] = JointCell(plan.terms(c), plan.num_antennas(), ws.table.data());
-  }
-}
-
-void JointLikelihoodCellsInto(const SteeringPlan& plan, const BandTable& table,
-                              std::span<const std::uint32_t> cells,
-                              double* out) {
-  CheckTable(plan, table);
-  for (const std::uint32_t cell : cells) {
-    if (cell >= plan.num_cells()) {
-      throw std::invalid_argument(
-          "JointLikelihoodCellsInto: cell index out of range");
-    }
-  }
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out[i] = JointCell(plan.terms(cells[i]), plan.num_antennas(),
-                       table.data());
-  }
-}
 
 void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
                               std::span<const CellSpan> spans, double* out) {
@@ -446,6 +374,13 @@ void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
       *out++ = JointCell(terms + t * antennas, antennas, table.data());
     }
   }
+}
+
+void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
+                            dsp::Grid2D& grid, SpectraWorkspace& ws) {
+  BuildGridTable(input, plan, grid, ws);
+  const CellSpan all{0, static_cast<std::uint32_t>(plan.num_cells())};
+  JointLikelihoodSpansInto(plan, ws.table, {&all, 1}, grid.data().data());
 }
 
 void DistanceOnlyMapInto(const SpectraInput& input, const SteeringPlan& plan,

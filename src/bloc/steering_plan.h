@@ -16,8 +16,8 @@
 // distance sqrt, no sin/cos, no comb walk.
 //
 // Interpolated values differ from the reference kernel by under 1e-6 of the
-// map peak; every evaluation path (full grid, cell subset, spans) runs the
-// same per-cell expression, so they agree with each other bit for bit.
+// map peak; the full map and every cell window run the same span kernel,
+// so they agree with each other bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -57,32 +57,6 @@ struct SteeringPlanKey {
 SteeringPlanKey MakeSteeringPlanKey(const SpectraInput& input,
                                     const dsp::GridSpec& spec,
                                     double comb_step = 2.0e6);
-
-/// One coarse level of the steering pyramid: the fine grid decimated into
-/// stride x stride blocks. A level owns no plan terms — `sample_cells`
-/// holds, per block, the row-major fine-grid index of the block's minimum-
-/// corner cell, so coarse evaluation reads straight out of the fine plan's
-/// storage and coarse samples are exact fine-cell values.
-struct SteeringLevel {
-  std::size_t stride = 1;
-  std::size_t bcols = 0;  // blocks per row
-  std::size_t brows = 0;  // block rows
-  std::size_t fine_cols = 0;
-  std::size_t fine_rows = 0;
-  /// Per block (row-major over the block grid), the fine cell sampled at
-  /// the coarse level.
-  std::vector<std::uint32_t> sample_cells;
-
-  std::size_t num_blocks() const { return sample_cells.size(); }
-
-  /// Builds the level geometry for `spec` decimated by `stride` (>= 1).
-  static SteeringLevel Build(const dsp::GridSpec& spec, std::size_t stride);
-
-  /// Appends the row-major fine-cell indices of block (bc, br) to `out`.
-  /// Edge blocks are clipped to the fine grid.
-  void AppendBlockCells(std::size_t bc, std::size_t br,
-                        std::vector<std::uint32_t>& out) const;
-};
 
 /// Spacing of the D grid the per-round band-sum tables sample B_j on. B_j
 /// varies on a c / 78 MHz ~ 3.8 m scale, so 5 cm cubic interpolation stays
@@ -138,14 +112,8 @@ class SteeringPlan {
   const dsp::SplitComplexVec& table_base() const { return table_base_; }
   const dsp::SplitComplexVec& table_step() const { return table_step_; }
 
-  /// The pyramid level decimating this plan's grid by `stride`. Levels are
-  /// index views (no copies), built lazily and memoized; safe to call
-  /// concurrently.
-  std::shared_ptr<const SteeringLevel> Level(std::size_t stride) const;
-
   /// Term + relative-distance + table-rotor storage of this plan, in bytes
-  /// — what the cache's byte budget accounts (pyramid levels are index-only
-  /// and small).
+  /// — what the cache's byte budget accounts.
   std::size_t MemoryBytes() const {
     // A 32-byte PlanTerm plus the D field per (cell, antenna): 40 bytes.
     return cells_ * num_antennas() * (sizeof(PlanTerm) + sizeof(double)) +
@@ -159,8 +127,6 @@ class SteeringPlan {
   dsp::AlignedVec<PlanTerm> terms_;
   dsp::SplitComplexVec table_base_;  // (1, 0) per entry: the walk's start
   dsp::SplitComplexVec table_step_;
-  mutable std::mutex level_mu_;
-  mutable std::vector<std::shared_ptr<const SteeringLevel>> levels_;
 };
 
 /// Capacity bounds of the steering-plan cache. Either limit alone evicts;
@@ -208,9 +174,9 @@ class SteeringPlanCache {
   std::size_t lookups() const;
 
   /// Plans evicted by the LRU bounds so far (also published as the
-  /// `bloc.steering_cache.evictions` counter).
+  /// `bloc.steering_plan_cache.evictions` counter).
   std::size_t evictions() const;
-  /// Resident plan bytes (also the `bloc.steering_cache.bytes` gauge).
+  /// Resident plan bytes (also the `bloc.steering_plan_cache.bytes` gauge).
   std::size_t bytes() const;
   const SteeringCacheLimits& limits() const { return limits_; }
 
@@ -267,27 +233,20 @@ void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
 void DistanceOnlyMapInto(const SpectraInput& input, const SteeringPlan& plan,
                          dsp::Grid2D& grid, SpectraWorkspace& ws);
 
-/// Evaluates the Eq. 17 magnitude at an arbitrary subset of plan cells from
-/// a band table BuildBandTable made for this plan: out[i] = the joint-
-/// likelihood value at row-major fine cell cells[i]. Each out[i] is bit-
-/// identical to the corresponding cell of JointLikelihoodMapInto over the
-/// full grid (one per-cell expression, no FMA contraction) — the property
-/// the coarse-to-fine search rests on. Throws std::invalid_argument when
-/// `table` does not fit `plan` or a cell index is out of range.
-void JointLikelihoodCellsInto(const SteeringPlan& plan, const BandTable& table,
-                              std::span<const std::uint32_t> cells,
-                              double* out);
-
 /// A contiguous run of row-major fine cells: [begin, begin + length).
 struct CellSpan {
   std::uint32_t begin = 0;
   std::uint32_t length = 0;
 };
 
-/// Span variant of JointLikelihoodCellsInto for contiguous cell runs, which
-/// read the plan's terms as one sequential stream. out[i] covers the spans
-/// concatenated in order; every value is bit-identical to the corresponding
-/// cell of the full-grid map. Same contract as JointLikelihoodCellsInto.
+/// The one Eq. 17 plan kernel: evaluates the cells of `spans` from a band
+/// table BuildBandTable made for this plan, reading the plan's terms as one
+/// sequential stream per span. out[i] covers the spans concatenated in
+/// order. The full map is the single span over every cell; a cell window is
+/// one span per window row. Every value is bit-identical to the
+/// corresponding cell of the full-grid map (one per-cell expression, no FMA
+/// contraction). Throws std::invalid_argument when `table` does not fit
+/// `plan` or a span runs past the grid.
 void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
                               std::span<const CellSpan> spans, double* out);
 

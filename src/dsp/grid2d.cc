@@ -69,10 +69,11 @@ double Grid2D::Sum() const {
   return s;
 }
 
-void Grid2D::NormalizePeak() {
+double Grid2D::NormalizePeak() {
   const double m = Max();
-  if (m <= 0.0) return;
+  if (m <= 0.0) return m;
   for (double& v : data_) v /= m;
+  return m;
 }
 
 void Grid2D::NormalizeSum() {

@@ -57,8 +57,9 @@ class Grid2D {
   double Max() const;
   double Sum() const;
 
-  /// Scales so the maximum becomes 1 (no-op on all-zero grids).
-  void NormalizePeak();
+  /// Scales so the maximum becomes 1 (no-op on all-zero grids). Returns
+  /// the maximum it divided by.
+  double NormalizePeak();
   /// Scales so cells sum to 1 (no-op on all-zero grids).
   void NormalizeSum();
 

@@ -66,8 +66,6 @@ HealthReport EvaluateHealth(const ServiceHealthStats& stats,
   add("gate_miss_ratio",
       Ratio(stats.search_gate_misses, stats.search_gated_rounds),
       policy.max_gate_miss_ratio);
-  add("fallback_ratio", Ratio(stats.search_fallbacks, c.localized_rounds),
-      policy.max_fallback_ratio);
   add("locate_error_ratio", Ratio(c.locate_errors, c.completed_rounds),
       policy.max_locate_error_ratio);
 

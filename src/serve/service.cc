@@ -225,12 +225,11 @@ ServiceHealthStats LocalizationService::HealthStats() const {
     stats.shards.push_back(sh);
   }
   // Cold path: resolving by name per scrape is fine, and returns zeros when
-  // the search counters have never been touched (or obs is compiled out).
+  // the gate counters have never been touched (or obs is compiled out).
   stats.search_gated_rounds =
       obs::GetCounter("bloc.search.gated_rounds").Value();
   stats.search_gate_misses =
       obs::GetCounter("bloc.search.gate_misses").Value();
-  stats.search_fallbacks = obs::GetCounter("bloc.search.fallbacks").Value();
   return stats;
 }
 

@@ -120,12 +120,10 @@ struct ServiceHealthStats {
   ServiceCounters counters;
   std::vector<ShardHealth> shards;
   std::size_t inflight_locates = 0;
-  // Process-wide search-quality counters (bloc.search.*): gate misses force
-  // ungated re-searches, fallbacks abandon coarse-to-fine entirely. Zero
-  // when the build disables observability.
+  // Process-wide gate counters (bloc.search.*): a gate miss re-runs the
+  // round over the whole grid. Zero when the build disables observability.
   std::uint64_t search_gated_rounds = 0;
   std::uint64_t search_gate_misses = 0;
-  std::uint64_t search_fallbacks = 0;
 };
 
 class LocalizationService : public net::MessageSink {

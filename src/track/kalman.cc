@@ -53,6 +53,13 @@ void KalmanTracker::Axis::Correct(double z, double r) {
 
 bool KalmanTracker::Update(const geom::Vec2& fix, double dt_s) {
   const double r = config_.fix_std * config_.fix_std;
+  if (!std::isfinite(fix.x) || !std::isfinite(fix.y)) {
+    // A NaN fix would initialize the state to NaN, and a NaN innovation
+    // passes the gate test below (NaN > g^2 is false).
+    ++rejected_;
+    RejectedFixesCounter().Inc();
+    return false;
+  }
   if (!initialized_) {
     x_.pos = fix.x;
     y_.pos = fix.y;

@@ -40,10 +40,10 @@ class KalmanTracker {
 
   /// First fix initializes the state; later fixes run predict+update with
   /// the elapsed time `dt_s`. Returns false when the fix was rejected: a
-  /// non-positive dt on an initialized filter (duplicate round or clock
-  /// skew — the state is left untouched so bad timestamps cannot corrupt
-  /// the covariance) or a fix outside the Mahalanobis gate (the prediction
-  /// still advances). Rejections count in rejected_fixes() and the
+  /// non-finite fix or a non-positive dt on an initialized filter
+  /// (duplicate round or clock skew) — both leave the state untouched so
+  /// bad input cannot corrupt it — or a fix outside the Mahalanobis gate
+  /// (the prediction still advances). Rejections count in rejected_fixes() and the
   /// `track.rejected_fixes` registry counter.
   bool Update(const geom::Vec2& fix, double dt_s);
 

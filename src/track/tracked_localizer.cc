@@ -41,12 +41,12 @@ TrackedFix TrackedLocalizer::Locate(const net::MeasurementRound& round,
 
   const bool have_fix = out.raw.anchors_used > 0;
   if (can_gate && have_fix) {
-    // The search stats are only this round's when the map stage actually
-    // ran (empty rounds return the sentinel before the search).
+    // The map-stage stats are only this round's when the map stage
+    // actually ran (empty rounds return the sentinel before it).
     out.gated = ws.search.stats.gated;
-    out.gate_fallback = ws.search.stats.gate_fallback;
+    out.gate_missed = ws.search.stats.gate_missed;
     if (out.gated) ++gated_rounds_;
-    if (out.gate_fallback != core::FallbackReason::kNone) ++gate_misses_;
+    if (out.gate_missed) ++gate_misses_;
   }
 
   if (have_fix) {

@@ -1,13 +1,12 @@
 // Track-while-localize (DESIGN.md §5g): a per-tag stage that closes the
-// loop between the Kalman tracker and the coarse-to-fine search. Each round
-// the tracker's prediction (position extrapolated by the round's dt, sized
-// by the predicted covariance) becomes the LocalizerWorkspace search gate,
-// so the survivor search only evaluates the blocks the tag can plausibly
-// have reached; the fix that comes back updates the tracker. A missed gate
-// falls back along the existing chain (ungated coarse, then exhaustive) and
-// the reason is recorded per round, so gating can only cost time, never a
-// fix. With gating disabled the per-round fixes are bit-identical to the
-// plain Localizer.
+// loop between the Kalman tracker and the map stage. Each round the
+// tracker's prediction (position extrapolated by the round's dt, sized by
+// the predicted covariance) becomes the LocalizerWorkspace gate, so the
+// anchor maps are evaluated only over a cell window around where the tag
+// can plausibly be; the fix that comes back updates the tracker. A missed
+// gate re-runs the round over the whole grid and is recorded per round, so
+// gating can only cost time, never a fix. With gating disabled the
+// per-round fixes are bit-identical to the plain Localizer.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +18,8 @@ namespace bloc::track {
 
 struct TrackedLocalizerConfig {
   KalmanConfig kalman;
-  /// Feed the prediction into the search as a gate. Only effective with
-  /// SearchMode::kCoarseToFine; the exhaustive strategy ignores gates.
+  /// Feed the prediction into the map stage as a gate. Only effective
+  /// when the Localizer's SearchConfig::mode is kCoarseToFine.
   bool gate_search = true;
   /// Gate half-width = gate_sigmas x max per-axis predicted std +
   /// gate_margin_m, floored at min_gate_radius_m. The margin absorbs
@@ -28,8 +27,8 @@ struct TrackedLocalizerConfig {
   /// tracks from gating below the scoring halo. 2 sigma is deliberately
   /// tighter than the tracker's Mahalanobis gate: a fix clipped to the
   /// gate's edge is one the innovation gate would likely reject anyway, so
-  /// the tight search region trades nothing measurable on trajectory error
-  /// for a ~30% evaluated-cell saving (bench_traj sweeps this).
+  /// the tight window trades nothing measurable on trajectory error for a
+  /// ~50% evaluated-cell saving (bench_traj reports it).
   double gate_sigmas = 2.0;
   double gate_margin_m = 0.3;
   double min_gate_radius_m = 0.75;
@@ -49,10 +48,10 @@ struct TrackedFix {
   /// The raw fix passed the tracker's innovation gate and updated the
   /// state (false for empty rounds and Mahalanobis rejections).
   bool fix_accepted = false;
-  /// This round's search ran inside a prediction gate.
+  /// This round's maps ran over a prediction window smaller than the grid.
   bool gated = false;
-  /// Why an active gate was abandoned (FallbackReason::kNone when it held).
-  core::FallbackReason gate_fallback = core::FallbackReason::kNone;
+  /// The gate missed and the round ran over the whole grid.
+  bool gate_missed = false;
 };
 
 /// Per-tag tracking session over a shared Localizer. Not thread-safe: one
@@ -64,7 +63,7 @@ class TrackedLocalizer {
                             const TrackedLocalizerConfig& config = {});
 
   /// Localizes one round captured at `t_s` (seconds, monotone per tag)
-  /// through the gated search and updates the tracker with the fix.
+  /// through the gated map stage and updates the tracker with the fix.
   TrackedFix Locate(const net::MeasurementRound& round, double t_s,
                     core::LocalizerWorkspace& ws);
 
@@ -73,7 +72,7 @@ class TrackedLocalizer {
 
   const KalmanTracker& tracker() const { return tracker_; }
   const TrackedLocalizerConfig& config() const { return config_; }
-  /// Rounds whose search ran gated / whose gate was abandoned.
+  /// Rounds whose maps ran gated / whose gate missed.
   std::size_t gated_rounds() const { return gated_rounds_; }
   std::size_t gate_misses() const { return gate_misses_; }
 

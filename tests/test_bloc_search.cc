@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include "bloc/engine.h"
 #include "bloc/localizer.h"
 #include "bloc/steering_plan.h"
+#include "dsp/thread_pool.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 
@@ -45,60 +48,47 @@ void ExpectSamePosition(const LocationResult& a, const LocationResult& b) {
   EXPECT_EQ(a.score, b.score);
 }
 
-TEST(SteeringLevel, GeometryHandCheck) {
-  // 1 m x 0.7 m at 0.1 m: an 11 x 8 fine grid; stride 3 leaves ragged
-  // edges on both axes.
-  const dsp::GridSpec spec{0.0, 0.0, 1.0, 0.7, 0.1};
-  ASSERT_EQ(spec.Cols(), 11u);
-  ASSERT_EQ(spec.Rows(), 8u);
-  const SteeringLevel level = SteeringLevel::Build(spec, 3);
-  EXPECT_EQ(level.stride, 3u);
-  EXPECT_EQ(level.fine_cols, 11u);
-  EXPECT_EQ(level.fine_rows, 8u);
-  EXPECT_EQ(level.bcols, 4u);  // ceil(11 / 3)
-  EXPECT_EQ(level.brows, 3u);  // ceil(8 / 3)
-  ASSERT_EQ(level.num_blocks(), 12u);
-  // Each block samples its minimum-corner fine cell.
-  for (std::size_t br = 0; br < level.brows; ++br) {
-    for (std::size_t bc = 0; bc < level.bcols; ++bc) {
-      EXPECT_EQ(level.sample_cells[br * level.bcols + bc],
-                3 * br * 11 + 3 * bc);
+/// Every anchor map of the round in `ws` is the full map's cells divided by
+/// their maximum over the round's window (zero outside), and the fused map
+/// is their sum in anchor-id order — bit for bit.
+void ExpectWindowedMaps(const Localizer& localizer, LocalizerWorkspace& ws) {
+  const CellWindow& w = ws.search.window;
+  const dsp::GridSpec& grid = localizer.config().grid;
+  const auto inside = [&](std::size_t col, std::size_t row) {
+    return col >= w.col0 && col < w.col1 && row >= w.row0 && row < w.row1;
+  };
+  dsp::Grid2D expected_fused(grid);
+  SpectraWorkspace sws;
+  dsp::Grid2D full(grid);
+  for (std::size_t i = 0; i < ws.fuse_order.size(); ++i) {
+    const SpectraInput input =
+        localizer.SpectraInputFor(ws.corrected, ws.fuse_order[i]);
+    if (localizer.config().spectra.kernel == LikelihoodKernel::kReference) {
+      JointLikelihoodMapInto(input, full, sws);
+    } else {
+      const auto plan = localizer.plan_cache().GetOrBuild(input, grid, 2.0e6);
+      JointLikelihoodMapInto(input, *plan, full, sws);
+    }
+    double m = 0.0;
+    for (std::size_t row = w.row0; row < w.row1; ++row) {
+      for (std::size_t col = w.col0; col < w.col1; ++col) {
+        m = std::max(m, full.At(col, row));
+      }
+    }
+    ASSERT_GT(m, 0.0);
+    const dsp::Grid2D& map = ws.anchor_maps[i];
+    for (std::size_t row = 0; row < grid.Rows(); ++row) {
+      for (std::size_t col = 0; col < grid.Cols(); ++col) {
+        const double want = inside(col, row) ? full.At(col, row) / m : 0.0;
+        ASSERT_EQ(map.At(col, row), want)
+            << "anchor slot " << i << " cell (" << col << ", " << row << ")";
+        expected_fused.At(col, row) += want;
+      }
     }
   }
-}
-
-TEST(SteeringLevel, AppendBlockCellsClipsAtEdges) {
-  const dsp::GridSpec spec{0.0, 0.0, 1.0, 0.7, 0.1};  // 11 x 8 fine cells
-  const SteeringLevel level = SteeringLevel::Build(spec, 3);
-
-  // Interior block (1, 1): the full 3 x 3 cell square.
-  std::vector<std::uint32_t> cells;
-  level.AppendBlockCells(1, 1, cells);
-  const std::vector<std::uint32_t> interior = {
-      3 * 11 + 3, 3 * 11 + 4, 3 * 11 + 5,  //
-      4 * 11 + 3, 4 * 11 + 4, 4 * 11 + 5,  //
-      5 * 11 + 3, 5 * 11 + 4, 5 * 11 + 5};
-  EXPECT_EQ(cells, interior);
-
-  // Corner block (3, 2) covers fine cols {9, 10} x rows {6, 7} only.
-  cells.clear();
-  level.AppendBlockCells(3, 2, cells);
-  const std::vector<std::uint32_t> corner = {6 * 11 + 9, 6 * 11 + 10,
-                                             7 * 11 + 9, 7 * 11 + 10};
-  EXPECT_EQ(cells, corner);
-
-  // Every fine cell belongs to exactly one block.
-  cells.clear();
-  for (std::size_t br = 0; br < level.brows; ++br)
-    for (std::size_t bc = 0; bc < level.bcols; ++bc)
-      level.AppendBlockCells(bc, br, cells);
-  EXPECT_EQ(cells.size(), spec.Cols() * spec.Rows());
-  std::vector<bool> seen(cells.size(), false);
-  for (std::uint32_t c : cells) {
-    ASSERT_LT(c, seen.size());
-    EXPECT_FALSE(seen[c]);
-    seen[c] = true;
-  }
+  EXPECT_EQ(ws.fused->data(), expected_fused.data());
+  EXPECT_EQ(ws.search.stats.cells_evaluated,
+            w.cells() * ws.fuse_order.size());
 }
 
 TEST(Search, SpansBitIdenticalToFullMap) {
@@ -141,92 +131,160 @@ TEST(Search, SpansBitIdenticalToFullMap) {
 }
 
 TEST(Search, CoarsePositionsBitIdenticalToExhaustive) {
+  // Ungated, kCoarseToFine is the exhaustive path: same map, same fix.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     sim::DatasetOptions options;
     options.locations = 4;
     const sim::Dataset dataset =
         sim::GenerateDataset(sim::PaperTestbed(seed), options);
-    const Localizer exhaustive(dataset.deployment, ExhaustiveConfig(dataset));
-    const Localizer coarse(dataset.deployment, CoarseConfig(dataset));
+    LocalizerConfig exhaustive_config = ExhaustiveConfig(dataset);
+    exhaustive_config.keep_map = true;
+    LocalizerConfig coarse_config = CoarseConfig(dataset);
+    coarse_config.keep_map = true;
+    const Localizer exhaustive(dataset.deployment, exhaustive_config);
+    const Localizer coarse(dataset.deployment, coarse_config);
 
-    LocalizerWorkspace ws;
-    std::size_t coarse_rounds = 0;
-    std::size_t pruned = 0;
+    LocalizerWorkspace ews, cws;
     for (const auto& round : dataset.rounds) {
-      const LocationResult want = exhaustive.Locate(round);
-      const LocationResult got = coarse.Locate(round, ws);
+      const LocationResult want = exhaustive.Locate(round, ews);
+      const LocationResult got = coarse.Locate(round, cws);
       ExpectSamePosition(got, want);
-      if (ws.search.stats.used_coarse) {
-        ++coarse_rounds;
-        pruned += ws.search.stats.cells_pruned;
-      }
+      ASSERT_NE(got.fused_map, nullptr);
+      EXPECT_EQ(got.fused_map->data(), want.fused_map->data())
+          << "seed " << seed;
+      EXPECT_EQ(cws.search.stats.cells_evaluated,
+                ews.search.stats.cells_evaluated);
+      EXPECT_FALSE(cws.search.stats.gated);
     }
-    // The speedup is real only if the coarse path actually ran and pruned.
-    EXPECT_GT(coarse_rounds, 0u) << "seed " << seed;
-    EXPECT_GT(pruned, 0u) << "seed " << seed;
   }
 }
 
-TEST(Search, DescentFindsExactPerAnchorMaximum) {
+TEST(Search, FullGridGateIsBitIdenticalToUngated) {
+  LocalizerConfig config = CoarseConfig(Fig9().dataset);
+  config.keep_map = true;
+  const Localizer localizer(Fig9().dataset.deployment, config);
+  const dsp::GridSpec& grid = config.grid;
+  // A gate that covers the room, and one that covers it only once the
+  // scoring halo is added.
+  const double halo_m =
+      static_cast<double>(std::max(config.scoring.entropy_window_radius,
+                                   config.scoring.peaks.neighborhood_radius)) *
+      grid.resolution;
+  const geom::Vec2 center{0.5 * (grid.x_min + grid.x_max),
+                          0.5 * (grid.y_min + grid.y_max)};
+  const double half = 0.5 * std::max(grid.x_max - grid.x_min,
+                                     grid.y_max - grid.y_min);
+  for (const double radius : {100.0, half - halo_m + 1e-9}) {
+    for (const auto& round : Fig9().dataset.rounds) {
+      const LocationResult ungated = localizer.Locate(round);
+      LocalizerWorkspace ws;
+      ws.gate = {true, center, radius};
+      const LocationResult gated = localizer.Locate(round, ws);
+      ExpectSamePosition(gated, ungated);
+      EXPECT_EQ(gated.fused_map->data(), ungated.fused_map->data());
+      EXPECT_FALSE(ws.search.stats.gated);
+      EXPECT_FALSE(ws.search.stats.gate_missed);
+      EXPECT_EQ(ws.search.window, CellWindow::Full(grid));
+    }
+  }
+}
+
+TEST(Search, GatedWindowIsFullMapOverWindowMax) {
+  for (const LikelihoodKernel kernel :
+       {LikelihoodKernel::kSteeringPlan, LikelihoodKernel::kReference}) {
+    LocalizerConfig config = CoarseConfig(Fig9().dataset);
+    config.spectra.kernel = kernel;
+    const Localizer localizer(Fig9().dataset.deployment, config);
+    for (const auto& round : Fig9().dataset.rounds) {
+      LocalizerWorkspace ws;
+      ws.gate = {true, localizer.Locate(round).position, 0.6};
+      localizer.Locate(round, ws);
+      ASSERT_TRUE(ws.search.stats.gated);
+      EXPECT_FALSE(ws.search.stats.gate_missed);
+      EXPECT_LT(ws.search.window.cells(),
+                CellWindow::Full(config.grid).cells());
+      ExpectWindowedMaps(localizer, ws);
+    }
+  }
+}
+
+TEST(Search, GateClippedByGridEdge) {
   const LocalizerConfig config = CoarseConfig(Fig9().dataset);
   const Localizer localizer(Fig9().dataset.deployment, config);
-  LocalizerWorkspace ws;
-  localizer.Locate(Fig9().dataset.rounds[0], ws);
-  ASSERT_TRUE(ws.search.stats.used_coarse);
-  ASSERT_FALSE(ws.search.stats.fell_back);
+  const dsp::GridSpec& grid = config.grid;
+  ASSERT_EQ(grid.resolution, 0.075);
+  const std::size_t halo =
+      std::max(config.scoring.entropy_window_radius,
+               config.scoring.peaks.neighborhood_radius);
+  const net::MeasurementRound& round = Fig9().dataset.rounds[0];
 
-  // anchor_max[i] must equal the dense per-anchor maximum even though the
-  // branch-and-bound descent evaluated only a fraction of the grid.
-  SpectraWorkspace sws;
-  dsp::Grid2D dense(config.grid);
-  ASSERT_FALSE(ws.fuse_order.empty());
-  for (std::size_t i = 0; i < ws.fuse_order.size(); ++i) {
-    const SpectraInput input =
-        localizer.SpectraInputFor(ws.corrected, ws.fuse_order[i]);
-    const auto plan =
-        localizer.plan_cache().GetOrBuild(input, config.grid, 2.0e6);
-    JointLikelihoodMapInto(input, *plan, dense, sws);
-    EXPECT_EQ(ws.search.anchor_max[i], dense.Max()) << "anchor slot " << i;
-  }
+  // Low corner, the gate hanging 0.2 m off the grid on both axes: it reaches
+  // 0.33 m = 4.4 cells in, so the window is cells [0, 4] plus the halo.
+  LocalizerWorkspace low;
+  low.gate = {true, {grid.x_min - 0.2, grid.y_min - 0.2}, 0.53};
+  localizer.Locate(round, low);
+  ASSERT_TRUE(low.search.stats.gated);
+  EXPECT_EQ(low.search.window, (CellWindow{0, 5 + halo, 0, 5 + halo}));
+  ExpectWindowedMaps(localizer, low);
+
+  // High corner, centered on the last cell: 0.53 m = 7.07 cells back, so
+  // the window starts 8 cells plus the halo before the last one.
+  const std::size_t cols = grid.Cols(), rows = grid.Rows();
+  LocalizerWorkspace high;
+  high.gate = {true, {grid.XOf(cols - 1), grid.YOf(rows - 1)}, 0.53};
+  localizer.Locate(round, high);
+  ASSERT_TRUE(high.search.stats.gated);
+  EXPECT_EQ(high.search.window,
+            (CellWindow{cols - 9 - halo, cols, rows - 9 - halo, rows}));
+  ExpectWindowedMaps(localizer, high);
 }
 
-TEST(Search, StrideBelowTwoFallsBackWithConfigReason) {
-  LocalizerConfig config = CoarseConfig(Fig9().dataset);
-  config.spectra.search.coarse_stride = 1;
-  const Localizer coarse(Fig9().dataset.deployment, config);
-  const Localizer exhaustive(Fig9().dataset.deployment,
-                             ExhaustiveConfig(Fig9().dataset));
-
-  LocalizerWorkspace ws;
-  const LocationResult got = coarse.Locate(Fig9().dataset.rounds[0], ws);
-  EXPECT_FALSE(ws.search.stats.used_coarse);
-  EXPECT_TRUE(ws.search.stats.fell_back);
-  EXPECT_EQ(ws.search.stats.fallback_reason, FallbackReason::kConfig);
-  // The fallback runs the exhaustive strategy: the whole result matches.
-  ExpectSamePosition(got, exhaustive.Locate(Fig9().dataset.rounds[0]));
-}
-
-TEST(Search, ZeroRefineBudgetTripsFractionGuard) {
-  LocalizerConfig config = CoarseConfig(Fig9().dataset);
-  config.spectra.search.max_refine_fraction = 0.0;
-  const Localizer coarse(Fig9().dataset.deployment, config);
-  const Localizer exhaustive(Fig9().dataset.deployment,
-                             ExhaustiveConfig(Fig9().dataset));
-
-  LocalizerWorkspace ws;
-  const LocationResult got = coarse.Locate(Fig9().dataset.rounds[0], ws);
-  EXPECT_TRUE(ws.search.stats.fell_back);
-  EXPECT_EQ(ws.search.stats.fallback_reason, FallbackReason::kFractionGuard);
-  ExpectSamePosition(got, exhaustive.Locate(Fig9().dataset.rounds[0]));
-}
-
-TEST(Search, ParityCheckModePassesOnTestbedRounds) {
-  LocalizerConfig config = CoarseConfig(Fig9().dataset);
-  config.spectra.search.parity_check = true;
+TEST(Search, AnchorWithoutMassInWindowIsAMiss) {
+  const LocalizerConfig config = CoarseConfig(Fig9().dataset);
   const Localizer localizer(Fig9().dataset.deployment, config);
+  // One anchor reports an all-zero channel: its map has no positive value
+  // anywhere, so the gate misses and the round runs over the whole grid.
+  CorrectedChannels corrected =
+      localizer.CorrectedFor(Fig9().dataset.rounds[0]);
+  for (dsp::CVec& antenna : corrected.anchors[1].alpha) {
+    std::fill(antenna.begin(), antenna.end(), dsp::cplx{});
+  }
+  LocalizerWorkspace ungated;
+  ungated.corrected = corrected;
+  localizer.FusedMapInto(ungated);
+
   LocalizerWorkspace ws;
+  ws.corrected = corrected;
+  ws.gate = {true, {3.0, 2.5}, 0.6};
+  localizer.FusedMapInto(ws);
+  EXPECT_TRUE(ws.search.stats.gate_missed);
+  EXPECT_FALSE(ws.search.stats.gated);
+  EXPECT_EQ(ws.search.window, CellWindow::Full(config.grid));
+  EXPECT_EQ(ws.fused->data(), ungated.fused->data());
+  // The window pass and the whole-grid re-run both count.
+  EXPECT_GT(ws.search.stats.cells_evaluated,
+            ungated.search.stats.cells_evaluated);
+}
+
+TEST(Search, GatedPoolLocateBitIdenticalToSerial) {
+  LocalizerConfig config = CoarseConfig(Fig9().dataset);
+  config.keep_map = true;
+  const Localizer localizer(Fig9().dataset.deployment, config);
+  dsp::ThreadPool pool(4);
   for (const auto& round : Fig9().dataset.rounds) {
-    EXPECT_NO_THROW(localizer.Locate(round, ws));
+    const LocationResult ungated = localizer.Locate(round);
+    const SearchGate gate{true, ungated.position + geom::Vec2{0.3, -0.2},
+                          0.8};
+    LocalizerWorkspace serial_ws, pool_ws;
+    serial_ws.gate = gate;
+    pool_ws.gate = gate;
+    const LocationResult serial = localizer.Locate(round, serial_ws);
+    const LocationResult pooled = localizer.Locate(round, pool_ws, &pool);
+    ASSERT_TRUE(pool_ws.search.stats.gated);
+    ExpectSamePosition(pooled, serial);
+    EXPECT_EQ(pooled.fused_map->data(), serial.fused_map->data());
+    EXPECT_EQ(pool_ws.search.stats.cells_evaluated,
+              serial_ws.search.stats.cells_evaluated);
   }
 }
 

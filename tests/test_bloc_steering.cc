@@ -306,8 +306,7 @@ TEST(SteeringPlanCache, PlanBuildsAmortizedAcrossRounds) {
 /// End-to-end equivalence on simulated fig9 rounds: the steering-plan
 /// kernel must not move a single localization output relative to the
 /// reference, under either search mode. Fused maps agree to the peak-
-/// relative bound (the coarse-to-fine map is partial, so only positions are
-/// compared there).
+/// relative bound.
 TEST(SteeringPlanParity, LocalizationOutputsUnchanged) {
   for (const std::uint64_t seed : {1u, 2u}) {
     sim::DatasetOptions options;
@@ -367,9 +366,8 @@ TEST(KeepMap, SharedMapSurvivesLaterRounds) {
   EXPECT_EQ(first.fused_map->data(), snapshot);
 }
 
-/// Subset evaluation (the coarse search's primitive) must reproduce the
-/// full-grid values bit for bit, in whatever order the cells arrive, and so
-/// must span evaluation at any offset.
+/// Subset evaluation must reproduce the full-grid values bit for bit: single
+/// cells in whatever order they arrive, and spans at any offset.
 TEST(SteeringPlan, CellSubsetBitIdenticalToFullMap) {
   std::mt19937 rng(41);
   const RandomScene s = MakeRandomScene(rng);
@@ -388,8 +386,10 @@ TEST(SteeringPlan, CellSubsetBitIdenticalToFullMap) {
   for (int i = 0; i < 64; ++i) cells.push_back(pick(rng));
   std::shuffle(cells.begin(), cells.end(), rng);
 
+  std::vector<CellSpan> singles;
+  for (const std::uint32_t cell : cells) singles.push_back({cell, 1});
   std::vector<double> out(cells.size());
-  JointLikelihoodCellsInto(plan, table, cells, out.data());
+  JointLikelihoodSpansInto(plan, table, singles, out.data());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(out[i], full.data()[cells[i]]) << "cell " << cells[i];
   }
@@ -416,10 +416,10 @@ TEST(SteeringPlan, CellSubsetBitIdenticalToFullMap) {
     off += sp.length;
   }
 
-  const std::vector<std::uint32_t> bad = {
-      static_cast<std::uint32_t>(plan.num_cells())};
+  const std::vector<CellSpan> bad = {
+      {static_cast<std::uint32_t>(plan.num_cells()), 1}};
   double scratch = 0.0;
-  EXPECT_THROW(JointLikelihoodCellsInto(plan, table, bad, &scratch),
+  EXPECT_THROW(JointLikelihoodSpansInto(plan, table, bad, &scratch),
                std::invalid_argument);
   const std::vector<CellSpan> bad_span = {
       {static_cast<std::uint32_t>(plan.num_cells()) - 1, 2}};
@@ -427,8 +427,9 @@ TEST(SteeringPlan, CellSubsetBitIdenticalToFullMap) {
                std::invalid_argument);
   // A table built for another plan shape is rejected, not read past.
   const BandTable short_table;
-  EXPECT_THROW(JointLikelihoodCellsInto(plan, short_table, cells, out.data()),
-               std::invalid_argument);
+  EXPECT_THROW(
+      JointLikelihoodSpansInto(plan, short_table, singles, out.data()),
+      std::invalid_argument);
 }
 
 /// The band table's samples are the one dispatched computation of the
@@ -521,6 +522,37 @@ TEST(SteeringPlanCache, EvictsLeastRecentlyUsedAtPlanLimit) {
   EXPECT_EQ(cache.builds(), 3u);
   cache.GetOrBuild(MakeSteeringPlanKey(b.Input(), b.grid));
   EXPECT_EQ(cache.builds(), 4u);
+}
+
+/// The cache publishes all four of its metrics under one prefix.
+TEST(SteeringPlanCache, PublishesItsMetricsUnderOnePrefix) {
+  std::mt19937 rng(37);
+  const RandomScene a = MakeRandomScene(rng);
+  const RandomScene b = MakeRandomScene(rng);
+  obs::Counter& builds = obs::GetCounter("bloc.steering_plan_cache.builds");
+  obs::Counter& lookups = obs::GetCounter("bloc.steering_plan_cache.lookups");
+  obs::Counter& evictions =
+      obs::GetCounter("bloc.steering_plan_cache.evictions");
+  obs::Gauge& bytes = obs::GetGauge("bloc.steering_plan_cache.bytes");
+  const std::uint64_t builds0 = builds.Value();
+  const std::uint64_t lookups0 = lookups.Value();
+  const std::uint64_t evictions0 = evictions.Value();
+
+  // A one-plan cache: the first key builds, the second builds and evicts.
+  SteeringPlanCache cache({.max_plans = 1});
+  cache.GetOrBuild(MakeSteeringPlanKey(a.Input(), a.grid));
+  cache.GetOrBuild(MakeSteeringPlanKey(b.Input(), b.grid));
+  ASSERT_EQ(cache.evictions(), 1u);
+#if defined(BLOC_OBS_OFF)
+  constexpr std::uint64_t kCounted = 0;  // the registry is compiled out
+#else
+  constexpr std::uint64_t kCounted = 1;
+#endif
+  EXPECT_EQ(builds.Value() - builds0, 2 * kCounted);
+  EXPECT_EQ(lookups.Value() - lookups0, 2 * kCounted);
+  EXPECT_EQ(evictions.Value() - evictions0, kCounted);
+  EXPECT_EQ(bytes.Value(),
+            static_cast<std::int64_t>(kCounted * cache.bytes()));
 }
 
 TEST(SteeringPlanCache, ByteBudgetBoundsResidency) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dsp/rng.h"
 #include "dsp/stats.h"
+#include "obs/metrics.h"
 
 namespace bloc::track {
 namespace {
@@ -108,6 +111,46 @@ TEST(Kalman, RejectsNonPositiveDtOnInitializedFilter) {
   EXPECT_EQ(kf.position().y, 2.0);
   // ...and a well-formed fix still updates.
   EXPECT_TRUE(kf.Update({1.1, 2.1}, 0.5));
+}
+
+TEST(Kalman, RejectsNonFiniteFix) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::Counter& rejected = obs::GetCounter("track.rejected_fixes");
+#if defined(BLOC_OBS_OFF)
+  constexpr std::uint64_t kCounted = 0;  // the registry is compiled out
+#else
+  constexpr std::uint64_t kCounted = 1;
+#endif
+
+  // A fresh tracker must not initialize from a NaN fix.
+  KalmanTracker fresh;
+  const std::uint64_t before = rejected.Value();
+  EXPECT_FALSE(fresh.Update({kNaN, 1.0}, 0.5));
+  EXPECT_FALSE(fresh.initialized());
+  EXPECT_EQ(fresh.rejected_fixes(), 1u);
+  EXPECT_EQ(rejected.Value(), before + kCounted);
+  EXPECT_TRUE(fresh.Update({1.0, 2.0}, 0.5));
+  EXPECT_EQ(fresh.position().x, 1.0);
+
+  // On an initialized tracker a NaN innovation would pass the Mahalanobis
+  // test; the fix must be rejected with the state left as it was.
+  KalmanTracker kf;
+  kf.Update({1.0, 2.0}, 0.0);
+  kf.Update({1.2, 2.1}, 0.5);
+  const geom::Vec2 pos = kf.position();
+  const geom::Vec2 vel = kf.velocity();
+  const geom::Vec2 std_before = kf.position_std();
+  EXPECT_FALSE(kf.Update({1.3, kNaN}, 0.5));
+  EXPECT_FALSE(kf.Update({kInf, 2.2}, 0.5));
+  EXPECT_EQ(kf.rejected_fixes(), 2u);
+  EXPECT_EQ(rejected.Value(), before + 3 * kCounted);
+  EXPECT_EQ(kf.position().x, pos.x);
+  EXPECT_EQ(kf.position().y, pos.y);
+  EXPECT_EQ(kf.velocity().x, vel.x);
+  EXPECT_EQ(kf.velocity().y, vel.y);
+  EXPECT_EQ(kf.position_std().x, std_before.x);
+  EXPECT_EQ(kf.position_std().y, std_before.y);
 }
 
 TEST(Kalman, PredictExtrapolatesWithoutMutating) {

@@ -1,12 +1,13 @@
 // Track-while-localize tests (DESIGN.md §5g): with gating off the
 // TrackedLocalizer is a pure post-stage (raw fixes bit-identical to the
-// plain Localizer); with gating on the coarse search evaluates fewer cells
-// and still lands on the exhaustive position for almost every round; and a
-// missed gate falls back to the ungated result with the reason recorded.
+// plain Localizer); with gating on the map windows evaluate fewer cells and
+// still land on the ungated position for almost every round; and a missed
+// gate falls back to the ungated result with the miss recorded.
 #include "track/tracked_localizer.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "bloc/localizer.h"
@@ -138,26 +139,29 @@ TEST(TrackedLocalizer, GateMissFallsBackToUngatedResult) {
   const core::LocationResult reference = localizer.Locate(dataset.rounds[0], ws);
   ASSERT_FALSE(ws.search.stats.gated);
 
-  // A gate entirely off the grid can hold no likelihood mass: the search
-  // must fall back to the ungated coarse pass, bit-identically, and record
-  // why.
-  ws.gate.active = true;
-  ws.gate.center = {-100.0, -100.0};
-  ws.gate.radius_m = 0.25;
-  const core::LocationResult fell_back = localizer.Locate(dataset.rounds[0], ws);
-  EXPECT_EQ(fell_back.position.x, reference.position.x);
-  EXPECT_EQ(fell_back.position.y, reference.position.y);
-  EXPECT_EQ(fell_back.score, reference.score);
-  EXPECT_FALSE(ws.search.stats.gated);
-  EXPECT_EQ(ws.search.stats.gate_fallback, core::FallbackReason::kGateMiss);
-
-  // A degenerate (zero-radius) gate is a miss too.
-  ws.gate.active = true;
-  ws.gate.center = reference.position;
-  ws.gate.radius_m = 0.0;
-  const core::LocationResult zero_gate = localizer.Locate(dataset.rounds[0], ws);
-  EXPECT_EQ(zero_gate.position.x, reference.position.x);
-  EXPECT_EQ(ws.search.stats.gate_fallback, core::FallbackReason::kGateMiss);
+  // A gate entirely off the grid, a degenerate (zero-radius) gate, a NaN
+  // center and a non-finite radius are all misses: the round runs over the
+  // whole grid, bit-identically to the ungated one, and records the miss.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const core::SearchGate misses[] = {
+      {true, {-100.0, -100.0}, 0.25},
+      {true, reference.position, 0.0},
+      {true, {kNaN, reference.position.y}, 0.5},
+      {true, {reference.position.x, kNaN}, 0.5},
+      {true, reference.position, kInf},
+      {true, reference.position, kNaN},
+  };
+  for (const core::SearchGate& gate : misses) {
+    ws.gate = gate;
+    const core::LocationResult fell_back =
+        localizer.Locate(dataset.rounds[0], ws);
+    EXPECT_EQ(fell_back.position.x, reference.position.x);
+    EXPECT_EQ(fell_back.position.y, reference.position.y);
+    EXPECT_EQ(fell_back.score, reference.score);
+    EXPECT_FALSE(ws.search.stats.gated);
+    EXPECT_TRUE(ws.search.stats.gate_missed);
+  }
 }
 
 TEST(TrackedLocalizer, ResetForgetsTheTrack) {
