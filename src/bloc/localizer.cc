@@ -210,7 +210,10 @@ double Localizer::AnchorMapInto(const CorrectedChannels& corrected,
 LocationResult Localizer::ScoreFused(std::shared_ptr<const dsp::Grid2D> fused,
                                      const CorrectedChannels& corrected) const {
   const Selection sel = SelectLocation(*fused, deployment_, config_.scoring);
-  if (sel.peaks.empty()) return LocationResult{};  // degenerate map: sentinel
+  // Degenerate or non-finite map (e.g. a NaN CSI sample): sentinel.
+  if (sel.peaks.empty() || !std::isfinite(sel.peaks.front().score)) {
+    return LocationResult{};
+  }
 
   LocationResult result;
   result.position = sel.position;

@@ -146,8 +146,9 @@ class Localizer {
   Localizer(Deployment deployment, LocalizerConfig config);
 
   /// Localizes the tag from one complete measurement round. Returns a
-  /// sentinel result (score = 0, anchors_used = 0) when the round is empty
-  /// or filtering removed every usable report.
+  /// sentinel result (score = 0, anchors_used = 0) when the round is empty,
+  /// filtering removed every usable report, or the winning score is not
+  /// finite (a non-finite CSI sample poisons the maps).
   LocationResult Locate(const net::MeasurementRound& round) const;
 
   /// Allocation-free variant: all scratch lives in the caller's workspace.
@@ -205,8 +206,9 @@ class Localizer {
   SpectraInput SpectraInputFor(const CorrectedChannels& corrected,
                                std::size_t anchor_index) const;
 
-  /// Score: multipath-rejecting peak selection over the fused map. When
-  /// keep_map is configured the result shares `fused` (no deep copy), so
+  /// Score: multipath-rejecting peak selection over the fused map; the
+  /// sentinel when the map has no peak or the winning score is not finite.
+  /// When keep_map is configured the result shares `fused` (no deep copy), so
   /// callers that reuse the grid must re-acquire it via
   /// LocalizerWorkspace::EnsureFused before the next round.
   LocationResult ScoreFused(std::shared_ptr<const dsp::Grid2D> fused,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace bloc::dsp {
 
@@ -60,7 +61,32 @@ Grid2D::Cell Grid2D::ArgMax() const {
 
 double Grid2D::Max() const {
   if (data_.empty()) return 0.0;
-  return *std::max_element(data_.begin(), data_.end());
+  // The std::max_element fold, m = m < x ? x : m, over 16 independent
+  // lanes (eight 16-byte vectors) all seeded with data[0]: a NaN is
+  // returned only from index 0, and any other NaN is skipped, as
+  // max_element does.
+  using V2 = double __attribute__((vector_size(16)));
+  constexpr std::size_t kVecs = 8;
+  constexpr std::size_t kBlock = 2 * kVecs;
+  const double* d = data_.data();
+  const std::size_t n = data_.size();
+  V2 acc[kVecs];
+  for (V2& a : acc) a = V2{d[0], d[0]};
+  std::size_t i = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    for (std::size_t j = 0; j < kVecs; ++j) {
+      V2 x;
+      std::memcpy(&x, d + i + 2 * j, sizeof x);
+      acc[j] = acc[j] < x ? x : acc[j];
+    }
+  }
+  double m = d[0];
+  for (const V2& a : acc) m = std::max(std::max(m, a[0]), a[1]);
+  for (; i < n; ++i) m = std::max(m, d[i]);
+  // Lanes lose max_element's pick among equal maxima, which only shows for
+  // signed zeros: return the first zero, as max_element would.
+  if (m == 0.0) return *std::find(d, d + n, 0.0);
+  return m;
 }
 
 double Grid2D::Sum() const {

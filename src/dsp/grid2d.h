@@ -1,5 +1,7 @@
 // A dense 2-D grid over a rectangular region of the plane. Used for
-// likelihood maps, precomputed distance fields and RMSE heatmaps.
+// likelihood maps, precomputed distance fields and RMSE heatmaps. The
+// whole-grid passes (Max, NormalizePeak, Add) are vector loops whose
+// results are bit-identical to the scalar ones (DESIGN.md §5e).
 #pragma once
 
 #include <cstddef>
@@ -54,6 +56,8 @@ class Grid2D {
     std::size_t row = 0;
   };
   Cell ArgMax() const;
+  /// The value std::max_element finds (0 on an empty grid): NaN cells are
+  /// skipped unless the first cell is NaN, which is then the result.
   double Max() const;
   double Sum() const;
 

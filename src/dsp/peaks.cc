@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace bloc::dsp {
 
@@ -25,6 +26,30 @@ bool IsLocalMax(const Grid2D& g, std::size_t col, std::size_t row,
   return true;
 }
 
+/// Calls `f(v)` for every positive cell of the circular window of `radius`
+/// around (col, row), clipped to the grid, in row-major order.
+template <typename F>
+void ForEachPositiveInDisk(const Grid2D& grid, std::size_t col,
+                           std::size_t row, std::size_t radius, F&& f) {
+  const auto r = static_cast<std::ptrdiff_t>(radius);
+  const auto cc = static_cast<std::ptrdiff_t>(col);
+  const auto rr = static_cast<std::ptrdiff_t>(row);
+  const auto cols = static_cast<std::ptrdiff_t>(grid.cols());
+  const auto rows = static_cast<std::ptrdiff_t>(grid.rows());
+  for (std::ptrdiff_t dy = -r; dy <= r; ++dy) {
+    const std::ptrdiff_t y = rr + dy;
+    if (y < 0 || y >= rows) continue;
+    for (std::ptrdiff_t dx = -r; dx <= r; ++dx) {
+      if (dx * dx + dy * dy > r * r) continue;  // circular window
+      const std::ptrdiff_t c = cc + dx;
+      if (c < 0 || c >= cols) continue;
+      const double v =
+          grid.At(static_cast<std::size_t>(c), static_cast<std::size_t>(y));
+      if (v > 0) f(v);
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Peak> FindPeaks(const Grid2D& grid, const PeakOptions& opts) {
@@ -32,11 +57,46 @@ std::vector<Peak> FindPeaks(const Grid2D& grid, const PeakOptions& opts) {
   const double global_max = grid.Max();
   if (global_max <= 0.0) return peaks;
   const double floor = global_max * opts.min_relative_height;
-  for (std::size_t row = 0; row < grid.rows(); ++row) {
-    for (std::size_t col = 0; col < grid.cols(); ++col) {
-      const double v = grid.At(col, row);
-      if (v < floor) continue;
-      if (!IsLocalMax(grid, col, row, opts.neighborhood_radius)) continue;
+  const std::size_t cols = grid.cols();
+  const std::size_t rows = grid.rows();
+  const std::size_t radius = opts.neighborhood_radius;
+  const double* data = grid.data().data();
+
+  // Separable running max of the clipped (2r+1)^2 window: `colmax` holds
+  // each column's max over the window rows, padded by `radius` -inf cells
+  // per side; `winmax` the max of `colmax` over the window columns. A cell
+  // below its window max has a larger neighbour, so IsLocalMax would reject
+  // it too; only the survivors pay for the exact check. Every max is one of
+  // the window's own values or the padding, so a NaN can only keep a cell,
+  // never drop it.
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<double> colmax(cols + 2 * radius, kNegInf);
+  std::vector<double> winmax(cols);
+  double* padded = colmax.data() + radius;
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::size_t r0 = row >= radius ? row - radius : 0;
+    const std::size_t r1 = std::min(row + radius, rows - 1);
+    std::copy_n(data + r0 * cols, cols, padded);
+    for (std::size_t r = r0 + 1; r <= r1; ++r) {
+      const double* src = data + r * cols;
+      for (std::size_t c = 0; c < cols; ++c) {
+        padded[c] = std::max(padded[c], src[c]);
+      }
+    }
+    std::copy_n(colmax.data(), cols, winmax.data());
+    for (std::size_t d = 1; d <= 2 * radius; ++d) {
+      const double* src = colmax.data() + d;
+      for (std::size_t c = 0; c < cols; ++c) {
+        winmax[c] = std::max(winmax[c], src[c]);
+      }
+    }
+    const double* values = data + row * cols;
+    for (std::size_t col = 0; col < cols; ++col) {
+      const double v = values[col];
+      if (winmax[col] > v) continue;
+      // Negated so a NaN cell (or a NaN floor) is never a peak.
+      if (!(v >= floor)) continue;
+      if (!IsLocalMax(grid, col, row, radius)) continue;
       peaks.push_back({col, row, v, grid.XOf(col), grid.YOf(row)});
     }
   }
@@ -50,34 +110,17 @@ std::vector<Peak> FindPeaks(const Grid2D& grid, const PeakOptions& opts) {
 
 double SpatialEntropy(const Grid2D& grid, std::size_t col, std::size_t row,
                       std::size_t radius_cells) {
-  const auto r = static_cast<std::ptrdiff_t>(radius_cells);
-  const auto cc = static_cast<std::ptrdiff_t>(col);
-  const auto rr = static_cast<std::ptrdiff_t>(row);
+  // Two passes over the window instead of a copy of its values: the total
+  // first, then -p log p, both in the same cell order.
   double total = 0.0;
-  std::vector<double> vals;
-  for (std::ptrdiff_t dy = -r; dy <= r; ++dy) {
-    for (std::ptrdiff_t dx = -r; dx <= r; ++dx) {
-      if (dx * dx + dy * dy > r * r) continue;  // circular window
-      const std::ptrdiff_t c = cc + dx;
-      const std::ptrdiff_t y = rr + dy;
-      if (c < 0 || y < 0 || c >= static_cast<std::ptrdiff_t>(grid.cols()) ||
-          y >= static_cast<std::ptrdiff_t>(grid.rows())) {
-        continue;
-      }
-      const double v =
-          grid.At(static_cast<std::size_t>(c), static_cast<std::size_t>(y));
-      if (v > 0) {
-        vals.push_back(v);
-        total += v;
-      }
-    }
-  }
-  if (total <= 0.0 || vals.empty()) return 0.0;
+  ForEachPositiveInDisk(grid, col, row, radius_cells,
+                        [&](double v) { total += v; });
+  if (total <= 0.0) return 0.0;
   double h = 0.0;
-  for (double v : vals) {
+  ForEachPositiveInDisk(grid, col, row, radius_cells, [&](double v) {
     const double p = v / total;
     h -= p * std::log(p);
-  }
+  });
   return h;
 }
 

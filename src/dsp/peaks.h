@@ -28,13 +28,18 @@ struct PeakOptions {
   std::size_t max_peaks = 12;
 };
 
-/// Finds local maxima of `grid`, strongest first.
+/// Finds local maxima of `grid`, strongest first. A separable running max
+/// over each cell's square skips every cell with a larger neighbour before
+/// the exact check (plateau ties go to the lowest row-major index), so the
+/// result equals a full scan. NaN cells, and every cell when the grid
+/// maximum is NaN, are never peaks.
 std::vector<Peak> FindPeaks(const Grid2D& grid, const PeakOptions& opts = {});
 
 /// Shannon entropy (nats) of the likelihood mass inside a circular window of
 /// `radius_cells` around (col, row). The window values are normalized to a
 /// probability distribution first. A sharp peak concentrates mass in few
 /// cells => low entropy; a spread (reflection) blob => high entropy.
+/// Allocation-free: it sums the window, then accumulates -p log p.
 double SpatialEntropy(const Grid2D& grid, std::size_t col, std::size_t row,
                       std::size_t radius_cells);
 

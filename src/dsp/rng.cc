@@ -49,9 +49,18 @@ std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
   return dist(engine_);
 }
 
+namespace {
+
+/// Scales a standard normal draw the way std::normal_distribution(0, s)
+/// scales its own (z * s + mean), so the values match bit for bit. That
+/// distribution requires s > 0; this also takes s = 0 (noise switched off).
+double ScaleNormal(double z, double stddev) { return z * stddev + 0.0; }
+
+}  // namespace
+
 double Rng::Gaussian(double stddev) {
-  std::normal_distribution<double> dist(0.0, stddev);
-  return dist(engine_);
+  std::normal_distribution<double> unit;
+  return ScaleNormal(unit(engine_), stddev);
 }
 
 cplx Rng::ComplexGaussian(double variance) {
@@ -60,10 +69,11 @@ cplx Rng::ComplexGaussian(double variance) {
 }
 
 void Rng::FillComplexGaussian(std::span<cplx> out, double variance) {
-  std::normal_distribution<double> dist(0.0, std::sqrt(variance / 2.0));
+  const double s = std::sqrt(variance / 2.0);
+  std::normal_distribution<double> unit;
   for (cplx& v : out) {
-    const double re = dist(engine_);
-    const double im = dist(engine_);
+    const double re = ScaleNormal(unit(engine_), s);
+    const double im = ScaleNormal(unit(engine_), s);
     v = {re, im};
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "bloc/localizer.h"
 #include "sim/experiment.h"
 #include "sim/measurement.h"
@@ -39,6 +41,17 @@ TEST(Localizer, LocatesLosTagAccurately) {
   EXPECT_LT(geom::Distance(result.position, Los().tag), 0.15);
   EXPECT_EQ(result.anchors_used, 4u);
   EXPECT_EQ(result.bands_used, 37u);
+}
+
+TEST(Localizer, NanCsiSampleYieldsSentinel) {
+  net::MeasurementRound round = Los().round;
+  round.reports.back().bands.front().tag_csi.front() = {
+      std::numeric_limits<double>::quiet_NaN(), 0.0};
+  const Localizer localizer(Los().deployment, BaseConfig());
+  const LocationResult result = localizer.Locate(round);
+  EXPECT_EQ(result.score, 0.0);
+  EXPECT_EQ(result.anchors_used, 0u);
+  EXPECT_TRUE(result.peaks.empty());
 }
 
 TEST(Localizer, RequiresMasterInDeployment) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 namespace bloc::dsp {
 namespace {
@@ -96,6 +97,26 @@ TEST(Rng, FillComplexGaussianIsDeterministic) {
   a.FillComplexGaussian(x, 0.5);
   b.FillComplexGaussian(y, 0.5);
   EXPECT_EQ(x, y);
+}
+
+TEST(Rng, GaussianMatchesNormalDistributionAndTakesZeroStddev) {
+  for (const double stddev : {0.0, 1e-3, 0.5, 1.0, 7.25}) {
+    Rng rng(99);
+    std::mt19937_64 engine(99);
+    for (int i = 0; i < 64; ++i) {
+      // std::normal_distribution requires stddev > 0; zero noise still
+      // takes its draw, so the stream stays aligned.
+      double want = 0.0;
+      if (stddev > 0.0) {
+        want = std::normal_distribution<double>(0.0, stddev)(engine);
+      } else {
+        std::normal_distribution<double>()(engine);
+      }
+      EXPECT_EQ(rng.Gaussian(stddev), want)
+          << "stddev " << stddev << " draw " << i;
+    }
+    EXPECT_EQ(rng.Gaussian(1.0), std::normal_distribution<double>()(engine));
+  }
 }
 
 TEST(Rng, UniformRange) {
