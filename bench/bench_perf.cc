@@ -11,10 +11,8 @@
 // --json=PATH to dump everything as machine-readable JSON (the perf
 // trajectory baseline), --sweep-rounds=N to size the batch, --no-micro to
 // skip the google-benchmark section, --mode=localize|fullphy|dataset|obs|
-// track|soak to run one sweep family only. The track sweep runs a moving
-// tag through the TrackedLocalizer, Kalman-gated map windows vs ungated
-// (--track-parity gates the gating-off bit-parity audit);
-// --mode=soak --wire swaps the in-process soak for a TCP-loopback smoke.
+// soak to run one sweep family only; --mode=soak --wire swaps the
+// in-process soak for a TCP-loopback smoke.
 // Repeated sweeps report bench::Stats (min/p50/stddev over warmup+reps) so
 // regressions can be told from run-to-run noise.
 //
@@ -59,7 +57,6 @@
 #include "serve/admin.h"
 #include "serve/service.h"
 #include "stats.h"
-#include "track/tracked_localizer.h"
 #include "bloc/corrected_channel.h"
 #include "dsp/complex_ops.h"
 #include "bloc/engine.h"
@@ -613,145 +610,12 @@ ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Track mode (--mode=track): a moving tag (waypoint motion) localized
-// through one TrackedLocalizer session, Kalman-gated map windows vs ungated.
-// Reports ms/round (bench::Stats), the evaluated-cell fraction, and the
-// trajectory-error medians; --track-parity turns the gating-off raw-fix
-// parity audit into a regression gate (exit 1 on any mismatch).
-
-struct TrackComparison {
-  std::size_t rounds = 0;
-  bloc::bench::Stats ungated_ms_per_round;
-  bloc::bench::Stats gated_ms_per_round;
-  double speedup = 0.0;
-  std::size_t gated_rounds = 0;
-  std::size_t gate_misses = 0;
-  std::uint64_t cells_ungated = 0;
-  std::uint64_t cells_gated = 0;
-  /// Cells the gated pass evaluated / what the ungated pass did.
-  double evaluated_fraction = 0.0;
-  double raw_median_m = 0.0;
-  double tracked_median_m = 0.0;
-  double gated_median_m = 0.0;
-  std::size_t parity_rounds = 0;
-  std::size_t parity_mismatches = 0;
-};
-
-TrackComparison RunTrackComparison(std::size_t locations) {
-  std::cerr << "generating moving-tag workload (" << locations
-            << " rounds, waypoint motion) for the track sweep...\n";
-  sim::ScenarioConfig scenario = sim::PaperTestbed(1);
-  scenario.motion.model = sim::MotionModel::kWaypoint;
-  sim::DatasetOptions options;
-  options.locations = locations;
-  const sim::Dataset dataset = sim::GenerateDataset(scenario, options);
-
-  core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
-  config.spectra.search.mode = core::SearchMode::kCoarseToFine;
-  const core::Localizer localizer(dataset.deployment, config);
-
-  TrackComparison cmp;
-  cmp.rounds = dataset.rounds.size();
-
-  // One full-trajectory pass; fills the per-round outputs (deterministic, so
-  // keeping the last rep's copy is exact) and returns ms/round.
-  struct PassOut {
-    std::vector<geom::Vec2> raw, tracked;
-    std::uint64_t cells = 0;
-    std::size_t gated_rounds = 0, gate_misses = 0;
-  };
-  const auto run_pass = [&](bool gate, PassOut& out) {
-    track::TrackedLocalizerConfig tc;
-    tc.gate_search = gate;
-    track::TrackedLocalizer tracked(localizer, tc);
-    core::LocalizerWorkspace ws;
-    out = PassOut{};
-    out.raw.reserve(dataset.rounds.size());
-    out.tracked.reserve(dataset.rounds.size());
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < dataset.rounds.size(); ++i) {
-      const track::TrackedFix fix =
-          tracked.Locate(dataset.rounds[i], dataset.timestamps[i], ws);
-      out.raw.push_back(fix.raw.position);
-      out.tracked.push_back(fix.tracked_position);
-      out.cells += ws.search.stats.cells_evaluated;
-    }
-    const double sec = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-    out.gated_rounds = tracked.gated_rounds();
-    out.gate_misses = tracked.gate_misses();
-    return 1e3 * sec / static_cast<double>(dataset.rounds.size());
-  };
-
-  PassOut ungated, gated;
-  cmp.ungated_ms_per_round = bloc::bench::MeasureRepeated(
-      1, 5, [&] { return run_pass(false, ungated); });
-  cmp.gated_ms_per_round = bloc::bench::MeasureRepeated(
-      1, 5, [&] { return run_pass(true, gated); });
-  cmp.speedup = cmp.ungated_ms_per_round.min / cmp.gated_ms_per_round.min;
-  cmp.cells_ungated = ungated.cells;
-  cmp.cells_gated = gated.cells;
-  cmp.gated_rounds = gated.gated_rounds;
-  cmp.gate_misses = gated.gate_misses;
-  if (ungated.cells > 0) {
-    cmp.evaluated_fraction = static_cast<double>(gated.cells) /
-                             static_cast<double>(ungated.cells);
-  }
-
-  // Parity audit: with gating off the tracker is a pure post-stage, so the
-  // raw fixes must match the engine pipeline bit for bit.
-  core::LocalizationEngine engine(dataset.deployment, config, {.threads = 1});
-  const std::vector<core::LocationResult> reference =
-      engine.LocateBatch(dataset.rounds);
-  cmp.parity_rounds = reference.size();
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    if (reference[i].position.x != ungated.raw[i].x ||
-        reference[i].position.y != ungated.raw[i].y) {
-      ++cmp.parity_mismatches;
-    }
-  }
-
-  const auto median_err = [&](const std::vector<geom::Vec2>& est) {
-    std::vector<double> err;
-    err.reserve(est.size());
-    for (std::size_t i = 0; i < est.size(); ++i) {
-      err.push_back(geom::Distance(est[i], dataset.truths[i]));
-    }
-    return bloc::bench::Stats::Of(std::move(err)).p50;
-  };
-  cmp.raw_median_m = median_err(ungated.raw);
-  cmp.tracked_median_m = median_err(ungated.tracked);
-  cmp.gated_median_m = median_err(gated.tracked);
-
-  std::cout << "\n=== track-while-localize (waypoint trajectory, "
-            << cmp.rounds << " rounds, 1 thread) ===\n"
-            << "  ungated         " << cmp.ungated_ms_per_round.min
-            << " ms/round (p50 " << cmp.ungated_ms_per_round.p50
-            << ", stddev " << cmp.ungated_ms_per_round.stddev << ")\n"
-            << "  gated           " << cmp.gated_ms_per_round.min
-            << " ms/round (p50 " << cmp.gated_ms_per_round.p50 << ", stddev "
-            << cmp.gated_ms_per_round.stddev << ")  (x" << cmp.speedup
-            << " speedup)\n"
-            << "  gate: " << cmp.gated_rounds << "/" << cmp.rounds
-            << " rounds gated, " << cmp.gate_misses << " misses, "
-            << 100.0 * cmp.evaluated_fraction
-            << "% of ungated cells evaluated\n"
-            << "  median error: raw " << 100.0 * cmp.raw_median_m
-            << " cm, tracked " << 100.0 * cmp.tracked_median_m
-            << " cm, tracked+gated " << 100.0 * cmp.gated_median_m << " cm\n"
-            << "  parity (gating off): " << cmp.parity_mismatches << "/"
-            << cmp.parity_rounds << " raw-fix mismatches\n";
-  return cmp;
-}
-
-// ---------------------------------------------------------------------------
 // Soak mode (--mode=soak): thousands of simulated concurrent tags replay
 // dataset rounds through serve::LocalizationService over producer threads,
 // sweeping tag count x shard count x producer threads. Reports rounds/sec
 // (bench::Stats over K reps) and p50/p99/p999 end-to-end latency from the
-// serve.e2e_latency_us histogram, plus a single-mutex net::Collector
-// baseline; every position is checked bit-identical to the serial engine.
+// serve.e2e_latency_us histogram, plus a bare 1-thread engine baseline;
+// every position is checked bit-identical to the serial engine.
 
 struct SoakConfig {
   std::vector<std::size_t> tags{1000};
@@ -946,58 +810,6 @@ double RunSoakPass(serve::LocalizationService& service,
       .count();
 }
 
-/// The pre-sharding architecture as a baseline: every producer funnels into
-/// one net::Collector (single mutex), one consumer localizes rounds in
-/// global-id order on the same 1-thread engine. Same tags, same frames.
-double RunBaselinePass(core::LocalizationEngine& engine,
-                       const sim::Dataset& dataset,
-                       const std::vector<std::vector<std::size_t>>& picks,
-                       std::size_t producers, std::size_t rounds_per_tag) {
-  const std::size_t tags = picks.size();
-  const std::size_t total = tags * rounds_per_tag;
-  net::Collector collector(
-      net::Collector::Options{.max_pending_rounds = total + 8});
-  for (const core::AnchorPose& a : dataset.deployment.anchors) {
-    collector.OnMessage(net::AnchorHelloMsg{a.id, a.is_master});
-  }
-  const auto start = std::chrono::steady_clock::now();
-  std::atomic<bool> failed{false};
-  std::thread consumer([&] {
-    core::LocationResult sink;
-    for (std::size_t gid = 0; gid < total; ++gid) {
-      auto round = collector.WaitRound(gid, 600000);
-      if (!round) {
-        failed.store(true);
-        return;
-      }
-      sink = engine.Locate(*round);
-      benchmark::DoNotOptimize(sink);
-    }
-  });
-  std::vector<std::thread> workers;
-  workers.reserve(producers);
-  for (std::size_t p = 0; p < producers; ++p) {
-    workers.emplace_back([&, p] {
-      for (std::size_t k = 0; k < rounds_per_tag; ++k) {
-        for (std::size_t t = p; t < tags; t += producers) {
-          const net::MeasurementRound& src = dataset.rounds[picks[t][k]];
-          for (const anchor::CsiReport& report : src.reports) {
-            anchor::CsiReport frame = report;
-            frame.round_id = t * rounds_per_tag + k;
-            collector.OnMessage(net::CsiReportMsg{std::move(frame)});
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  consumer.join();
-  if (failed.load()) throw std::runtime_error("soak: baseline round lost");
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Deterministic per-tag dataset-round picks: tag t's stream is
 /// Rng(seed).Fork({t}), so the workload is reproducible at any tag count.
 std::vector<std::vector<std::size_t>> MakePicks(std::size_t tags,
@@ -1153,22 +965,32 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
     }
   }
 
-  // Baseline at the largest tag count, most producers.
+  // Baseline at the largest tag count: the same picked rounds in global-id
+  // order (tag-major), localized by LocateBatch on a bare 1-thread engine —
+  // no producers, no ingest, no round assembly.
   result.baseline_tags = config.tags.back();
-  const std::size_t producers = config.producers.back();
-  const std::vector<std::vector<std::size_t>> picks = MakePicks(
-      result.baseline_tags, config.rounds_per_tag, dataset.rounds.size());
-  std::cerr << "running single-mutex Collector baseline...\n";
+  std::vector<net::MeasurementRound> baseline_rounds;
+  for (const std::vector<std::size_t>& tag_picks : MakePicks(
+           result.baseline_tags, config.rounds_per_tag,
+           dataset.rounds.size())) {
+    for (const std::size_t pick : tag_picks) {
+      baseline_rounds.push_back(dataset.rounds[pick]);
+    }
+  }
+  std::cerr << "running bare-engine LocateBatch baseline...\n";
   core::LocalizationEngine baseline_engine(dataset.deployment,
                                            sim::PaperLocalizerConfig(dataset),
                                            {.threads = 1});
   result.baseline_rounds_per_sec = bloc::bench::MeasureRepeated(
       config.warmup, config.reps, [&] {
-        const double sec = RunBaselinePass(baseline_engine, dataset, picks,
-                                           producers, config.rounds_per_tag);
-        return static_cast<double>(result.baseline_tags *
-                                   config.rounds_per_tag) /
-               sec;
+        const auto start = std::chrono::steady_clock::now();
+        const std::vector<core::LocationResult> results =
+            baseline_engine.LocateBatch(baseline_rounds);
+        benchmark::DoNotOptimize(results.data());
+        const double sec = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+        return static_cast<double>(baseline_rounds.size()) / sec;
       });
 
   double best_service = 0.0;
@@ -1181,7 +1003,7 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
     result.throughput_ratio =
         best_service / result.baseline_rounds_per_sec.mean;
   }
-  std::cout << "  baseline (single-mutex collector, tags="
+  std::cout << "  baseline (bare 1-thread engine, tags="
             << result.baseline_tags << ")  "
             << result.baseline_rounds_per_sec.mean
             << " rounds/sec  -> service/baseline throughput ratio x"
@@ -1367,7 +1189,6 @@ void WriteSweepJson(const std::string& path,
                     const std::vector<SweepPoint>* fullphy_sweep,
                     const DatasetSweep* dataset,
                     const ObsOverhead* obs_overhead,
-                    const TrackComparison* track,
                     const SoakResult* soak,
                     const WireSmoke* wire,
                     std::size_t batch_rounds) {
@@ -1396,25 +1217,6 @@ void WriteSweepJson(const std::string& path,
     fullphy->reference_stats.WriteJson(out);
     out << ", \"planned_stats\": ";
     fullphy->planned_stats.WriteJson(out);
-    out << "}";
-  }
-  if (track != nullptr) {
-    out << ",\n  \"track\": {\"rounds\": " << track->rounds
-        << ", \"speedup\": " << track->speedup
-        << ", \"gated_rounds\": " << track->gated_rounds
-        << ", \"gate_misses\": " << track->gate_misses
-        << ", \"cells_ungated\": " << track->cells_ungated
-        << ", \"cells_gated\": " << track->cells_gated
-        << ", \"evaluated_fraction\": " << track->evaluated_fraction
-        << ", \"raw_median_m\": " << track->raw_median_m
-        << ", \"tracked_median_m\": " << track->tracked_median_m
-        << ", \"gated_median_m\": " << track->gated_median_m
-        << ", \"parity_rounds\": " << track->parity_rounds
-        << ", \"parity_mismatches\": " << track->parity_mismatches
-        << ", \"ungated_ms_per_round\": ";
-    track->ungated_ms_per_round.WriteJson(out);
-    out << ", \"gated_ms_per_round\": ";
-    track->gated_ms_per_round.WriteJson(out);
     out << "}";
   }
   if (obs_overhead != nullptr) {
@@ -1579,8 +1381,8 @@ std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
     }
 
     for (const char* section :
-         {"fullphy_measurement", "fullphy_results", "dataset_store", "track",
-          "soak", "soak_wire", "results"}) {
+         {"fullphy_measurement", "fullphy_results", "dataset_store", "soak",
+          "soak_wire", "results"}) {
       if (root->Find(section) != nullptr) {
         gate.Skip(section, "covered by its own CI job, not re-run here");
       }
@@ -1601,12 +1403,10 @@ int main(int argc, char** argv) {
   std::string json_path;
   bloc::bench::CommonFlags common;
   std::string mode = "all";  // all | localize | fullphy | dataset | obs |
-                             // track | soak | regress
+                             // soak | regress
   std::size_t sweep_rounds = 8;
   std::size_t dataset_locations = 100;
-  std::size_t track_locations = 100;
   double obs_guard_pct = -1.0;  // <0: report only, no gate
-  bool track_parity = false;
   bool run_micro = true;
   SoakConfig soak_config;
   bool soak_wire = false;
@@ -1637,16 +1437,12 @@ int main(int argc, char** argv) {
       json_path = arg.substr(7);
     } else if (arg.starts_with("--obs-guard=")) {
       obs_guard_pct = std::stod(std::string(arg.substr(12)));
-    } else if (arg == "--track-parity") {
-      track_parity = true;
     } else if (arg == "--wire") {
       soak_wire = true;
     } else if (arg.starts_with("--sweep-rounds=")) {
       sweep_rounds = std::stoul(std::string(arg.substr(15)));
     } else if (arg.starts_with("--dataset-locations=")) {
       dataset_locations = std::stoul(std::string(arg.substr(20)));
-    } else if (arg.starts_with("--track-locations=")) {
-      track_locations = std::stoul(std::string(arg.substr(18)));
     } else if (arg.starts_with("--tags=")) {
       soak_config.tags = parse_csv(arg.substr(7));
     } else if (arg.starts_with("--shards=")) {
@@ -1691,11 +1487,11 @@ int main(int argc, char** argv) {
     } else if (arg.starts_with("--mode=")) {
       mode = arg.substr(7);
       if (mode != "all" && mode != "localize" && mode != "fullphy" &&
-          mode != "dataset" && mode != "obs" && mode != "track" &&
-          mode != "soak" && mode != "regress") {
+          mode != "dataset" && mode != "obs" && mode != "soak" &&
+          mode != "regress") {
         std::cerr << "bench_perf: unknown --mode=" << mode
                   << " (expected all, localize, fullphy, dataset, obs, "
-                     "track, soak or regress)\n";
+                     "soak or regress)\n";
         return 1;
       }
     } else if (arg == "--no-micro") {
@@ -1723,14 +1519,12 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> fullphy_sweep;
   DatasetSweep dataset;
   ObsOverhead obs_overhead;
-  TrackComparison track;
   SoakResult soak;
   WireSmoke wire;
   const bool run_localize = mode == "all" || mode == "localize";
   const bool run_fullphy = mode == "all" || mode == "fullphy";
   const bool run_dataset = mode == "all" || mode == "dataset";
   const bool run_obs = mode == "all" || mode == "obs";
-  const bool run_track = mode == "track";  // opt-in: moving-tag dataset
   // Opt-in: minutes of load generation. --wire swaps the in-process sweep
   // for the TCP-loopback smoke.
   const bool run_soak = mode == "soak" && !soak_wire;
@@ -1768,7 +1562,6 @@ int main(int argc, char** argv) {
     kernels = RunKernelComparison();
     sweep = RunThroughputSweep(sweep_rounds);
   }
-  if (run_track) track = RunTrackComparison(track_locations);
   if (run_dataset) dataset = RunDatasetSweep(dataset_locations);
   if (run_obs) obs_overhead = RunObsOverheadCheck(sweep_rounds);
   if (run_soak) {
@@ -1783,7 +1576,6 @@ int main(int argc, char** argv) {
                    run_fullphy ? &fullphy_sweep : nullptr,
                    run_dataset ? &dataset : nullptr,
                    run_obs ? &obs_overhead : nullptr,
-                   run_track ? &track : nullptr,
                    run_soak ? &soak : nullptr,
                    run_wire ? &wire : nullptr, sweep_rounds);
   }
@@ -1800,13 +1592,6 @@ int main(int argc, char** argv) {
     std::cerr << "bench_perf: observability overhead "
               << obs_overhead.overhead_pct << "% exceeds the --obs-guard="
               << obs_guard_pct << "% budget\n";
-    return 1;
-  }
-  if (run_track && track_parity && track.parity_mismatches > 0) {
-    std::cerr << "bench_perf: with gating off " << track.parity_mismatches
-              << "/" << track.parity_rounds
-              << " raw fixes differ from the engine pipeline "
-                 "(--track-parity)\n";
     return 1;
   }
   if (run_wire && soak_guard) {
@@ -1831,7 +1616,7 @@ int main(int argc, char** argv) {
   if (run_soak && soak_guard) {
     // SLO gate: every admitted frame localized exactly once (no loss, no
     // shed, no expiry, no duplicates), every position bit-identical and in
-    // per-tag order, throughput no worse than half the single-mutex
+    // per-tag order, throughput no worse than half the bare-engine
     // baseline, and p99 within the optional budget.
     bool failed = false;
     const auto fail = [&](const std::string& why) {

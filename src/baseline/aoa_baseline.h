@@ -20,7 +20,7 @@
 #include "bloc/calibration.h"
 #include "dsp/grid2d.h"
 #include "geom/vec2.h"
-#include "net/collector.h"
+#include "net/messages.h"
 
 namespace bloc::baseline {
 

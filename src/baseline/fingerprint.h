@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "geom/vec2.h"
-#include "net/collector.h"
+#include "net/messages.h"
 
 namespace bloc::baseline {
 

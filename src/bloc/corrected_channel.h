@@ -18,7 +18,7 @@
 
 #include "anchor/csi_report.h"
 #include "dsp/types.h"
-#include "net/collector.h"
+#include "net/messages.h"
 
 namespace bloc::core {
 

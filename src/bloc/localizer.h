@@ -23,7 +23,7 @@
 #include "bloc/spectra.h"
 #include "bloc/steering_plan.h"
 #include "dsp/grid2d.h"
-#include "net/collector.h"
+#include "net/messages.h"
 
 namespace bloc::dsp {
 class ThreadPool;

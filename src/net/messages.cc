@@ -107,6 +107,26 @@ anchor::CsiReport DecodeCsiReport(WireReader& r) {
   return report;
 }
 
+void EncodeMeasurementRound(const MeasurementRound& round, WireWriter& w) {
+  w.U64(round.round_id);
+  w.U32(static_cast<std::uint32_t>(round.reports.size()));
+  for (const anchor::CsiReport& report : round.reports) {
+    EncodeCsiReport(report, w);
+  }
+}
+
+MeasurementRound DecodeMeasurementRound(WireReader& r) {
+  MeasurementRound round;
+  round.round_id = r.U64();
+  const std::uint32_t n = r.U32();
+  if (n > 1024) throw WireError("MeasurementRound: implausible report count");
+  round.reports.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    round.reports.push_back(DecodeCsiReport(r));
+  }
+  return round;
+}
+
 Buffer EncodeFrame(const Message& msg) {
   WireWriter body;
   body.U16(static_cast<std::uint16_t>(TypeOf(msg)));

@@ -64,6 +64,18 @@ using Message = std::variant<AnchorHelloMsg, CsiReportMsg, LocationEstimateMsg,
 void EncodeCsiReport(const anchor::CsiReport& report, WireWriter& w);
 anchor::CsiReport DecodeCsiReport(WireReader& r);
 
+/// One localization round: every anchor's report for one round id.
+struct MeasurementRound {
+  std::uint64_t round_id = 0;
+  std::vector<anchor::CsiReport> reports;  // one per anchor, any order
+};
+
+/// Round codec for the dataset file format (sim/dataset_io.h): round id,
+/// report count, then each report through the CsiReport body codec.
+/// Decoding throws WireError on truncated or implausible input.
+void EncodeMeasurementRound(const MeasurementRound& round, WireWriter& w);
+MeasurementRound DecodeMeasurementRound(WireReader& r);
+
 /// Serializes a message into a complete frame.
 Buffer EncodeFrame(const Message& msg);
 

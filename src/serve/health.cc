@@ -63,9 +63,6 @@ HealthReport EvaluateHealth(const ServiceHealthStats& stats,
       policy.max_refused_ratio);
   add("expired_ratio", Ratio(c.expired_rounds, c.completed_rounds),
       policy.max_expired_ratio);
-  add("gate_miss_ratio",
-      Ratio(stats.search_gate_misses, stats.search_gated_rounds),
-      policy.max_gate_miss_ratio);
   add("locate_error_ratio", Ratio(c.locate_errors, c.completed_rounds),
       policy.max_locate_error_ratio);
 

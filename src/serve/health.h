@@ -20,7 +20,7 @@
 namespace bloc::serve {
 
 /// Budgets for the /healthz verdict. Defaults match the soak bench's SLO
-/// gates (p99 budget) plus loose sanity bands on loss and gate quality.
+/// gates (p99 budget) plus loose sanity bands on loss and errors.
 struct HealthPolicy {
   /// Worst per-shard rolling-window p99 end-to-end latency.
   double p99_budget_ms = 250.0;
@@ -30,9 +30,6 @@ struct HealthPolicy {
   double max_refused_ratio = 0.01;
   /// expired rounds / completed rounds.
   double max_expired_ratio = 0.05;
-  /// gate misses / gated rounds — a high miss rate means the Kalman gate
-  /// is mispredicting and every round pays the whole-grid re-run.
-  double max_gate_miss_ratio = 0.9;
   /// rounds dropped because Locate threw / completed rounds.
   double max_locate_error_ratio = 0.01;
   /// max shard ring depth vs the mean depth (only judged when the mean is

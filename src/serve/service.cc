@@ -224,12 +224,6 @@ ServiceHealthStats LocalizationService::HealthStats() const {
     }
     stats.shards.push_back(sh);
   }
-  // Cold path: resolving by name per scrape is fine, and returns zeros when
-  // the gate counters have never been touched (or obs is compiled out).
-  stats.search_gated_rounds =
-      obs::GetCounter("bloc.search.gated_rounds").Value();
-  stats.search_gate_misses =
-      obs::GetCounter("bloc.search.gate_misses").Value();
   return stats;
 }
 

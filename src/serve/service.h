@@ -120,10 +120,6 @@ struct ServiceHealthStats {
   ServiceCounters counters;
   std::vector<ShardHealth> shards;
   std::size_t inflight_locates = 0;
-  // Process-wide gate counters (bloc.search.*): a gate miss re-runs the
-  // round over the whole grid. Zero when the build disables observability.
-  std::uint64_t search_gated_rounds = 0;
-  std::uint64_t search_gate_misses = 0;
 };
 
 class LocalizationService : public net::MessageSink {

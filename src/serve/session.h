@@ -19,7 +19,7 @@
 
 #include "anchor/csi_report.h"
 #include "bloc/localizer.h"
-#include "net/collector.h"
+#include "net/messages.h"
 #include "serve/ingest_queue.h"
 #include "track/kalman.h"
 

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <string>
 
-#include "net/collector.h"
+#include "net/messages.h"
 #include "obs/metrics.h"
 
 namespace bloc::sim {

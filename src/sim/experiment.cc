@@ -12,6 +12,22 @@
 
 namespace bloc::sim {
 
+namespace {
+
+/// The receiving end of StreamExperiment's transport: keeps every decoded
+/// report in arrival order.
+struct ReportRecorder : net::MessageSink {
+  std::vector<anchor::CsiReport> reports;
+
+  void OnMessage(const net::Message& msg) override {
+    if (const auto* m = std::get_if<net::CsiReportMsg>(&msg)) {
+      reports.push_back(m->report);
+    }
+  }
+};
+
+}  // namespace
+
 dsp::GridSpec RoomGrid(const ScenarioConfig& config, double resolution,
                        double margin) {
   dsp::GridSpec spec;
@@ -32,22 +48,10 @@ StreamedExperiment StreamExperiment(const ScenarioConfig& config,
   sim.SetChannelMap(options.channel_map);
   ViconSystem vicon{dsp::Rng(config.seed)};
 
-  // Reports travel through the real framing/decoding path into the
-  // collector, exactly as they would over TCP.
-  net::Collector collector;
-  net::InProcTransport transport(collector);
-  for (const anchor::AnchorNode& node : testbed.anchors()) {
-    net::AnchorHelloMsg hello;
-    hello.anchor_id = node.id();
-    hello.is_master = node.is_master();
-    const geom::Vec2 p = node.geometry().AntennaPosition(0);
-    hello.pos_x = p.x;
-    hello.pos_y = p.y;
-    hello.axis_radians = node.geometry().axis_radians;
-    hello.num_antennas = static_cast<std::uint8_t>(
-        node.geometry().num_antennas);
-    transport.Send(hello);
-  }
+  // Reports travel through the real framing/decoding path, exactly as
+  // they would over TCP, and are recorded as they come off the wire.
+  ReportRecorder recorder;
+  net::InProcTransport transport(recorder);
 
   StreamedExperiment out;
   Dataset& dataset = out.dataset;
@@ -88,11 +92,12 @@ StreamedExperiment StreamExperiment(const ScenarioConfig& config,
     for (const anchor::CsiReport& report : produced.reports) {
       transport.Send(net::CsiReportMsg{report});
     }
-    auto round = collector.TakeRound(i);
-    if (!round) {
+    if (recorder.reports.size() != produced.reports.size()) {
       throw std::runtime_error("StreamExperiment: round did not complete");
     }
-    dataset.rounds.push_back(std::move(*round));
+    dataset.rounds.push_back(
+        net::MeasurementRound{i, std::move(recorder.reports)});
+    recorder.reports.clear();
     dataset.truths.push_back(vicon.Measure(trajectory[i].position));
     dataset.timestamps.push_back(trajectory[i].t_s);
     const net::MeasurementRound& recorded = dataset.rounds.back();

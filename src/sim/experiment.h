@@ -1,7 +1,7 @@
 // Experiment orchestration: generates the evaluation dataset (the paper's
 // 1700 measured tag positions, §7) by running measurement rounds and
-// shipping every report through the wire codec to the collector, then
-// evaluates localizers against the recorded rounds. Generating once and
+// shipping every report through the wire codec, then evaluates localizers
+// against the recorded rounds. Generating once and
 // evaluating many configurations mirrors the paper's methodology (same
 // measurements, different processing).
 #pragma once
@@ -14,7 +14,7 @@
 #include "baseline/rssi_baseline.h"
 #include "bloc/engine.h"
 #include "bloc/localizer.h"
-#include "net/collector.h"
+#include "net/messages.h"
 #include "sim/measurement.h"
 #include "sim/motion.h"
 #include "sim/testbed.h"
@@ -79,9 +79,9 @@ struct StreamedExperiment {
 
 /// The streaming experiment pipeline: runs `options.locations` measurement
 /// rounds on a fresh testbed built from `config`, shipping each round's
-/// reports through EncodeFrame/TCP-style framing into a Collector, then
-/// fanning the recorded round out to the sinks without a full-dataset
-/// barrier. Rounds are produced in index order and the output is
+/// reports through EncodeFrame/TCP-style framing and recording what is
+/// decoded, then fanning the recorded round out to the sinks without a
+/// full-dataset barrier. Rounds are produced in index order and the output is
 /// bit-identical for every thread count (fixed-order rules from the
 /// measurement simulator and engine).
 StreamedExperiment StreamExperiment(const ScenarioConfig& config,
@@ -90,8 +90,8 @@ StreamedExperiment StreamExperiment(const ScenarioConfig& config,
 
 /// Runs `options.locations` measurement rounds on a fresh testbed built
 /// from `config`. Each round's reports travel through EncodeFrame/TCP-style
-/// framing into a Collector before being recorded. Equivalent to
-/// StreamExperiment with no sinks.
+/// framing and are recorded as decoded. Equivalent to StreamExperiment
+/// with no sinks.
 Dataset GenerateDataset(const ScenarioConfig& config,
                         const DatasetOptions& options);
 

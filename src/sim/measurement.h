@@ -27,7 +27,7 @@
 #include "dsp/fft.h"
 #include "dsp/thread_pool.h"
 #include "link/connection.h"
-#include "net/collector.h"
+#include "net/messages.h"
 #include "phy/csi_extract.h"
 #include "phy/packet.h"
 #include "sim/testbed.h"

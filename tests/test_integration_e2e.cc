@@ -1,13 +1,12 @@
 // End-to-end integration: the whole stack — link-layer hopping, GFSK/CSI
-// measurement, LO impairments, wire protocol into the collector, corrected
-// channels, likelihood fusion, multipath rejection — reproduced on a small
-// dataset. Asserts the paper's *ordering* results hold (BLoc beats the
+// measurement, LO impairments, the wire codec, corrected channels,
+// likelihood fusion, multipath rejection — reproduced on a small dataset.
+// Asserts the paper's *ordering* results hold (BLoc beats the
 // naive shortest-distance selector and the AoA baseline), not absolute
 // centimetres, so the suite stays robust to re-calibration.
 #include <gtest/gtest.h>
 
 #include "eval/metrics.h"
-#include "net/transport.h"
 #include "sim/experiment.h"
 
 namespace bloc {
@@ -69,36 +68,6 @@ TEST(EndToEnd, BandwidthReductionHurtsTail) {
   const auto narrow = sim::EvaluateBloc(PaperDataset(), config);
   EXPECT_LE(eval::ComputeStats(full).p90,
             eval::ComputeStats(narrow).p90 + 0.1);
-}
-
-TEST(EndToEnd, ReportsSurviveTcpTransport) {
-  // Ship one round's reports over real loopback TCP and localize from the
-  // collector output: identical estimate to the in-process path.
-  const sim::Dataset& ds = PaperDataset();
-  net::Collector collector;
-  net::TcpServer server(collector, 0);
-  {
-    net::TcpTransport client("127.0.0.1", server.port());
-    for (const auto& a : ds.deployment.anchors) {
-      net::AnchorHelloMsg hello;
-      hello.anchor_id = a.id;
-      hello.is_master = a.is_master;
-      client.Send(hello);
-    }
-    for (const auto& report : ds.rounds[0].reports) {
-      client.Send(net::CsiReportMsg{report});
-    }
-    const auto round = collector.WaitRound(ds.rounds[0].round_id, 5000);
-    ASSERT_TRUE(round.has_value());
-
-    const core::Localizer localizer(ds.deployment,
-                                    sim::PaperLocalizerConfig(ds));
-    const auto via_tcp = localizer.Locate(*round);
-    const auto direct = localizer.Locate(ds.rounds[0]);
-    EXPECT_NEAR(via_tcp.position.x, direct.position.x, 1e-9);
-    EXPECT_NEAR(via_tcp.position.y, direct.position.y, 1e-9);
-  }
-  server.Stop();
 }
 
 TEST(EndToEnd, DeterministicAcrossRuns) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "net/collector.h"
 #include "net/messages.h"
 
 namespace bloc::net {

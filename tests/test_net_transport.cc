@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <thread>
+#include <mutex>
+#include <variant>
+#include <vector>
 
-#include "net/collector.h"
 #include "net/transport.h"
 
 namespace bloc::net {
@@ -33,55 +35,53 @@ AnchorHelloMsg MakeHello(std::uint32_t id, bool master) {
   return hello;
 }
 
-TEST(Collector, GroupsRoundsByAnchor) {
-  Collector collector;
-  collector.OnMessage(MakeHello(1, true));
-  collector.OnMessage(MakeHello(2, false));
-  EXPECT_EQ(collector.Anchors().size(), 2u);
+/// Records every delivered message in arrival order. TcpServer delivers
+/// from its connection threads, so every access takes the mutex.
+class RecordingSink : public MessageSink {
+ public:
+  void OnMessage(const Message& msg) override {
+    std::lock_guard lock(mutex_);
+    messages_.push_back(msg);
+    cv_.notify_all();
+  }
 
-  collector.OnMessage(CsiReportMsg{MakeReport(1, 0, true)});
-  EXPECT_FALSE(collector.TryGetRound(0).has_value());
-  collector.OnMessage(CsiReportMsg{MakeReport(2, 0, false)});
-  const auto round = collector.TryGetRound(0);
-  ASSERT_TRUE(round.has_value());
-  EXPECT_EQ(round->reports.size(), 2u);
-}
+  /// Waits until at least `count` messages arrived (generous deadline:
+  /// sanitized runs on a loaded machine can starve the server threads for
+  /// seconds), then returns a snapshot of everything received.
+  std::vector<Message> WaitFor(std::size_t count, int timeout_ms = 10000) {
+    std::unique_lock lock(mutex_);
+    cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                 [&] { return messages_.size() >= count; });
+    return messages_;
+  }
 
-TEST(Collector, DropsDuplicateReports) {
-  Collector collector;
-  collector.OnMessage(MakeHello(1, true));
-  collector.OnMessage(MakeHello(2, false));
-  collector.OnMessage(CsiReportMsg{MakeReport(1, 0, true)});
-  collector.OnMessage(CsiReportMsg{MakeReport(1, 0, true)});
-  EXPECT_EQ(collector.dropped_duplicates(), 1u);
-  EXPECT_FALSE(collector.TryGetRound(0).has_value());
-}
-
-TEST(Collector, WaitRoundTimesOut) {
-  Collector collector;
-  collector.OnMessage(MakeHello(1, true));
-  EXPECT_FALSE(collector.WaitRound(7, 50).has_value());
-}
-
-TEST(Collector, IgnoresEstimates) {
-  Collector collector;
-  EXPECT_NO_THROW(collector.OnMessage(LocationEstimateMsg{}));
-}
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<Message> messages_;
+};
 
 TEST(InProcTransport, DeliversThroughCodec) {
-  Collector collector;
-  InProcTransport transport(collector);
+  RecordingSink sink;
+  InProcTransport transport(sink);
   transport.Send(MakeHello(5, true));
   transport.Send(CsiReportMsg{MakeReport(5, 3, true)});
-  const auto round = collector.TryGetRound(3);
-  ASSERT_TRUE(round.has_value());
-  EXPECT_EQ(round->reports[0].anchor_id, 5u);
-  EXPECT_EQ(round->reports[0].bands[0].tag_csi[0], (dsp::cplx{1, 0}));
+  const std::vector<Message> got = sink.WaitFor(2, 0);
+  ASSERT_EQ(got.size(), 2u);
+  const auto* hello = std::get_if<AnchorHelloMsg>(&got[0]);
+  ASSERT_NE(hello, nullptr);
+  EXPECT_EQ(hello->anchor_id, 5u);
+  EXPECT_TRUE(hello->is_master);
+  const auto* report = std::get_if<CsiReportMsg>(&got[1]);
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->report.round_id, 3u);
+  EXPECT_EQ(report->report.anchor_id, 5u);
+  EXPECT_EQ(report->report.bands[0].tag_csi[0], (dsp::cplx{1, 0}));
 }
 
 TEST(TcpTransport, EndToEndOverLoopback) {
-  Collector collector;
-  TcpServer server(collector, 0);
+  RecordingSink sink;
+  TcpServer server(sink, 0);
   ASSERT_GT(server.port(), 0);
 
   // Two "anchors" connect and stream hello + report.
@@ -89,117 +89,49 @@ TEST(TcpTransport, EndToEndOverLoopback) {
   TcpTransport anchor2("127.0.0.1", server.port());
   anchor1.Send(MakeHello(1, true));
   anchor2.Send(MakeHello(2, false));
-  // The two connections are ordered independently: wait until both hellos
-  // registered, or a report racing ahead of the other anchor's hello would
-  // "complete" the round with one report.
-  for (int i = 0; i < 1000 && collector.Anchors().size() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(collector.Anchors().size(), 2u);
   anchor1.Send(CsiReportMsg{MakeReport(1, 0, true)});
   anchor2.Send(CsiReportMsg{MakeReport(2, 0, false)});
 
-  // Generous deadline: sanitized runs on a loaded single-core machine can
-  // starve the server thread for seconds.
-  const auto round = collector.WaitRound(0, 10000);
-  ASSERT_TRUE(round.has_value());
-  EXPECT_EQ(round->reports.size(), 2u);
+  const std::vector<Message> got = sink.WaitFor(4);
+  ASSERT_EQ(got.size(), 4u);
+  // The two connections interleave arbitrarily, but each one is FIFO: an
+  // anchor's hello arrives before its report.
+  std::vector<std::uint32_t> hellos, reports;
+  for (const Message& msg : got) {
+    if (const auto* hello = std::get_if<AnchorHelloMsg>(&msg)) {
+      EXPECT_EQ(std::count(reports.begin(), reports.end(), hello->anchor_id),
+                0)
+          << "anchor " << hello->anchor_id << " report overtook its hello";
+      hellos.push_back(hello->anchor_id);
+    } else if (const auto* report = std::get_if<CsiReportMsg>(&msg)) {
+      EXPECT_EQ(report->report.round_id, 0u);
+      reports.push_back(report->report.anchor_id);
+    }
+  }
+  std::sort(hellos.begin(), hellos.end());
+  std::sort(reports.begin(), reports.end());
+  EXPECT_EQ(hellos, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(reports, (std::vector<std::uint32_t>{1, 2}));
   server.Stop();
 }
 
 TEST(TcpTransport, ManyMessagesOneConnection) {
-  Collector collector;
-  TcpServer server(collector, 0);
+  RecordingSink sink;
+  TcpServer server(sink, 0);
   TcpTransport anchor("127.0.0.1", server.port());
   anchor.Send(MakeHello(1, true));
   for (std::uint64_t r = 0; r < 50; ++r) {
     anchor.Send(CsiReportMsg{MakeReport(1, r, true)});
   }
-  const auto last = collector.WaitRound(49, 10000);
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->reports.size(), 1u);
+  const std::vector<Message> got = sink.WaitFor(51);
+  ASSERT_EQ(got.size(), 51u);
+  EXPECT_TRUE(std::holds_alternative<AnchorHelloMsg>(got[0]));
+  for (std::uint64_t r = 0; r < 50; ++r) {
+    const auto* report = std::get_if<CsiReportMsg>(&got[r + 1]);
+    ASSERT_NE(report, nullptr) << "message " << r + 1;
+    EXPECT_EQ(report->report.round_id, r) << "one connection is FIFO";
+  }
   server.Stop();
-}
-
-TEST(Collector, WaitRoundConsumesAndTakeRoundDrains) {
-  Collector collector;
-  InProcTransport anchor(collector);
-  anchor.Send(MakeHello(1, true));
-  anchor.Send(CsiReportMsg{MakeReport(1, 0, true)});
-  anchor.Send(CsiReportMsg{MakeReport(1, 1, true)});
-  EXPECT_EQ(collector.pending_rounds(), 2u);
-
-  // TryGetRound is a peek: the round stays pending.
-  ASSERT_TRUE(collector.TryGetRound(0).has_value());
-  EXPECT_EQ(collector.pending_rounds(), 2u);
-
-  // WaitRound consumes its round.
-  ASSERT_TRUE(collector.WaitRound(0, 1000).has_value());
-  EXPECT_EQ(collector.pending_rounds(), 1u);
-  EXPECT_FALSE(collector.TryGetRound(0).has_value());
-
-  // TakeRound consumes without blocking; a second take finds nothing.
-  ASSERT_TRUE(collector.TakeRound(1).has_value());
-  EXPECT_FALSE(collector.TakeRound(1).has_value());
-  EXPECT_EQ(collector.pending_rounds(), 0u);
-}
-
-TEST(Collector, EvictionHorizonBoundsPendingRounds) {
-  Collector collector(Collector::Options{.max_pending_rounds = 2});
-  InProcTransport anchor(collector);
-  anchor.Send(MakeHello(1, true));
-  for (std::uint64_t r = 0; r < 5; ++r) {
-    anchor.Send(CsiReportMsg{MakeReport(1, r, true)});
-  }
-  // Rounds 0..2 were evicted (lowest id first) to admit 3 and 4.
-  EXPECT_EQ(collector.pending_rounds(), 2u);
-  EXPECT_EQ(collector.evicted_rounds(), 3u);
-  EXPECT_FALSE(collector.TryGetRound(0).has_value());
-  EXPECT_TRUE(collector.TryGetRound(3).has_value());
-  EXPECT_TRUE(collector.TryGetRound(4).has_value());
-
-  // A late report for an evicted round re-opens it, evicting the oldest
-  // survivor -- the horizon holds regardless of arrival order.
-  anchor.Send(CsiReportMsg{MakeReport(1, 0, true)});
-  EXPECT_EQ(collector.pending_rounds(), 2u);
-  EXPECT_EQ(collector.evicted_rounds(), 4u);
-}
-
-TEST(Collector, ConsumingStreamStaysBounded) {
-  Collector collector(Collector::Options{.max_pending_rounds = 8});
-  InProcTransport anchor(collector);
-  anchor.Send(MakeHello(1, true));
-  for (std::uint64_t r = 0; r < 1000; ++r) {
-    anchor.Send(CsiReportMsg{MakeReport(1, r, true)});
-    ASSERT_TRUE(collector.TakeRound(r).has_value()) << "round " << r;
-    ASSERT_LE(collector.pending_rounds(), 8u);
-  }
-  EXPECT_EQ(collector.evicted_rounds(), 0u);
-}
-
-// Regression test for the data race on dropped_duplicates(): a reader
-// polling the counter while OnMessage storms duplicates. Run under TSan
-// (BLOC_TSAN) this fails on the pre-atomic implementation.
-TEST(Collector, DuplicateCounterIsReadableDuringIngest) {
-  Collector collector;
-  InProcTransport anchor(collector);
-  anchor.Send(MakeHello(1, true));
-
-  std::atomic<bool> stop{false};
-  std::size_t last = 0;
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::size_t now = collector.dropped_duplicates();
-      EXPECT_GE(now, last);  // monotone under concurrent ingest
-      last = now;
-    }
-  });
-  for (int i = 0; i < 5000; ++i) {
-    anchor.Send(CsiReportMsg{MakeReport(1, 7, true)});  // same round+anchor
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(collector.dropped_duplicates(), 4999u);
 }
 
 TEST(TcpTransport, ConnectFailureThrows) {
@@ -209,15 +141,15 @@ TEST(TcpTransport, ConnectFailureThrows) {
 }
 
 TEST(TcpServer, StopIsIdempotent) {
-  Collector collector;
-  TcpServer server(collector, 0);
+  RecordingSink sink;
+  TcpServer server(sink, 0);
   server.Stop();
   EXPECT_NO_THROW(server.Stop());
 }
 
 TEST(TcpServer, SurvivesClientDisconnect) {
-  Collector collector;
-  TcpServer server(collector, 0);
+  RecordingSink sink;
+  TcpServer server(sink, 0);
   {
     TcpTransport transient("127.0.0.1", server.port());
     transient.Send(MakeHello(9, false));
@@ -225,10 +157,15 @@ TEST(TcpServer, SurvivesClientDisconnect) {
   // Server keeps accepting.
   TcpTransport another("127.0.0.1", server.port());
   another.Send(MakeHello(10, true));
-  for (int i = 0; i < 100 && collector.Anchors().size() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const std::vector<Message> got = sink.WaitFor(2);
+  std::vector<std::uint32_t> hellos;
+  for (const Message& msg : got) {
+    if (const auto* hello = std::get_if<AnchorHelloMsg>(&msg)) {
+      hellos.push_back(hello->anchor_id);
+    }
   }
-  EXPECT_GE(collector.Anchors().size(), 2u);
+  std::sort(hellos.begin(), hellos.end());
+  EXPECT_EQ(hellos, (std::vector<std::uint32_t>{9, 10}));
   server.Stop();
 }
 

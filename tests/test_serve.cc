@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -594,6 +595,31 @@ TEST(LocalizationService, TagReportsRouteThroughTheWireCodec) {
   ASSERT_TRUE(untagged.has_value());
   ExpectIdentical(untagged->result, Reference()[1]);
   service.Stop();
+}
+
+TEST(LocalizationService, ReportsSurviveTcpTransport) {
+  // One round's reports travel as untagged CsiReportMsg frames over real
+  // loopback TCP into the service: its fix equals the serial Localizer's.
+  const net::MeasurementRound& round = Rounds().rounds[0];
+  LocalizationService service(Rounds().deployment, Config());
+  service.Start();
+  net::TcpServer server(service);
+  {
+    net::TcpTransport client("127.0.0.1", server.port());
+    for (const anchor::CsiReport& report : round.reports) {
+      client.Send(net::CsiReportMsg{report});
+    }
+  }
+  std::optional<PositionUpdate> update;
+  ASSERT_TRUE(WaitFor([&] { return (update = service.Poll(0)).has_value(); }));
+  server.Stop();
+  service.Stop();
+
+  EXPECT_EQ(update->round_id, round.round_id);
+  const core::Localizer localizer(Rounds().deployment, Config());
+  const core::LocationResult direct = localizer.Locate(round);
+  EXPECT_EQ(update->result.position.x, direct.position.x);
+  EXPECT_EQ(update->result.position.y, direct.position.y);
 }
 
 TEST(TagCsiReportMsg, FrameRoundTrip) {

@@ -60,6 +60,19 @@ TEST(EvaluateHealth, HealthyServicePassesEveryCheck) {
   }
 }
 
+TEST(EvaluateHealth, ChecksAreExactlyTheServiceSlos) {
+  // Every check reads this service's own counters and shards, never a
+  // process-global series another component in the process could move.
+  std::vector<std::string> names;
+  for (const HealthCheck& check : EvaluateHealth(HealthyStats()).checks) {
+    names.push_back(check.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "e2e_p99_ms", "shed_ratio", "refused_ratio",
+                       "expired_ratio", "locate_error_ratio",
+                       "shard_imbalance"}));
+}
+
 TEST(EvaluateHealth, WarmingUpIsHealthyDespiteBadRatios) {
   ServiceHealthStats stats = HealthyStats();
   stats.counters.completed_rounds = 10;  // below min_rounds
