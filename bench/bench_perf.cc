@@ -5,9 +5,11 @@
 //
 // After the microbenchmarks, regression sweeps run on the fig9 workload:
 // a single-thread comparison of the Eq. 17 kernels (steering-plan vs naive
-// reference, ms per fused 4-anchor map), a rounds/sec engine sweep for
-// threads in {1, 2, 4}, and the full-PHY measurement stage (planned fast
-// path vs reference kernels, plus a measurement-thread sweep). Pass
+// reference, ms per fused 4-anchor map, plus the plan kernel's ns per
+// (cell, antenna) with its ISA, CPU model and core count), a rounds/sec
+// engine sweep for threads in {1, 2, 4}, and the full-PHY measurement
+// stage (planned fast path vs reference kernels, plus a measurement-thread
+// sweep). Pass
 // --json=PATH to dump everything as machine-readable JSON (the perf
 // trajectory baseline), --sweep-rounds=N to size the batch, --no-micro to
 // skip the google-benchmark section, --mode=localize|fullphy|dataset|obs|
@@ -28,7 +30,9 @@
 // compared with noise-aware tolerances (--regress-tol=PCT, default 35;
 // widened by 2x the baseline's own coefficient of variation). Only
 // machine-independent ratios gate by default; --regress-abs also gates
-// absolute timings (same-machine runs). Exit 1 on any FAIL line.
+// absolute timings (same-machine runs), and a likelihood_map section that
+// records its dispatched ISA gates its ns per (cell, antenna) only on that
+// ISA ("skipped (isa)" elsewhere). Exit 1 on any FAIL line.
 //
 // --admin-port=N starts the admin HTTP endpoint for the soak sweep so an
 // external client can scrape /metrics and /healthz mid-run; --admin-scrape
@@ -43,6 +47,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -244,7 +249,72 @@ struct KernelComparison {
   double reference_ms_per_map = 0.0;
   double plan_ms_per_map = 0.0;
   double speedup = 0.0;
+  /// The plan kernel alone (band table, chunk terms, gather, magnitude) per
+  /// (cell, antenna), and the hardware it ran on.
+  double ns_per_cell_antenna = 0.0;
+  std::string isa;
+  std::string cpu_model;
+  unsigned cores = 0;
 };
+
+/// The first "model name" of /proc/cpuinfo ("unknown" when unreadable).
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t start = line.find_first_not_of(" \t", line.find(':') + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// ns per (cell, antenna) of the dispatched steering-plan kernel:
+/// JointLikelihoodMapInto over every anchor of `corrected` with cached
+/// plans and one reused workspace. The minimum over `blocks` blocks of at
+/// least `block_seconds` each, like the other scalar summaries, so the
+/// regress gate compares best cases rather than noise.
+double TimePlanKernel(const sim::Dataset& dataset,
+                      const core::CorrectedChannels& corrected,
+                      std::size_t blocks = 5, double block_seconds = 0.1) {
+  const core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
+  const core::Localizer localizer(dataset.deployment, config);
+  std::vector<core::SpectraInput> inputs;
+  std::vector<std::shared_ptr<const core::SteeringPlan>> plans;
+  double terms = 0.0;
+  for (std::size_t a = 0; a < corrected.anchors.size(); ++a) {
+    inputs.push_back(localizer.SpectraInputFor(corrected, a));
+    plans.push_back(
+        localizer.plan_cache().GetOrBuild(inputs.back(), config.grid));
+    terms += static_cast<double>(plans.back()->num_cells() *
+                                 plans.back()->num_antennas());
+  }
+  dsp::Grid2D grid(config.grid);
+  core::SpectraWorkspace ws;
+  const auto all_maps = [&] {
+    for (std::size_t a = 0; a < inputs.size(); ++a) {
+      core::JointLikelihoodMapInto(inputs[a], *plans[a], grid, ws);
+      benchmark::DoNotOptimize(grid.data().data());
+      benchmark::ClobberMemory();
+    }
+  };
+  all_maps();  // warm-up: sizes the workspace
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const auto start = std::chrono::steady_clock::now();
+    std::size_t reps = 0;
+    double elapsed = 0.0;
+    do {
+      all_maps();
+      ++reps;
+      elapsed = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    } while (elapsed < block_seconds);
+    best = std::min(best, 1e9 * elapsed / (static_cast<double>(reps) * terms));
+  }
+  return best;
+}
 
 /// Times one fused likelihood map per kernel; at least `min_seconds` of
 /// repetitions each, single-threaded, same fig9 corrected channels.
@@ -285,13 +355,20 @@ KernelComparison RunKernelComparison() {
   cmp.plan_ms_per_map =
       TimeFusedMap(dataset, corrected, core::LikelihoodKernel::kSteeringPlan);
   cmp.speedup = cmp.reference_ms_per_map / cmp.plan_ms_per_map;
+  cmp.ns_per_cell_antenna = TimePlanKernel(dataset, corrected);
+  cmp.isa = dsp::simd::IsaName(dsp::simd::Active().isa);
+  cmp.cpu_model = CpuModel();
+  cmp.cores = std::thread::hardware_concurrency();
 
   std::cout << "\n=== likelihood-map stage (fig9 workload, 1 thread, fused "
                "4-anchor map) ===\n"
             << "  reference kernel      " << cmp.reference_ms_per_map
             << " ms/map\n"
             << "  steering-plan kernel  " << cmp.plan_ms_per_map
-            << " ms/map  (x" << cmp.speedup << " speedup)\n";
+            << " ms/map  (x" << cmp.speedup << " speedup)\n"
+            << "  plan kernel           " << cmp.ns_per_cell_antenna
+            << " ns per (cell, antenna)  [isa " << cmp.isa << ", "
+            << cmp.cpu_model << ", " << cmp.cores << " cores]\n";
   return cmp;
 }
 
@@ -1206,7 +1283,10 @@ void WriteSweepJson(const std::string& path,
     out << ",\n  \"likelihood_map\": {\"reference_ms_per_map\": "
         << kernels->reference_ms_per_map
         << ", \"steering_plan_ms_per_map\": " << kernels->plan_ms_per_map
-        << ", \"speedup\": " << kernels->speedup << "}";
+        << ", \"speedup\": " << kernels->speedup
+        << ", \"ns_per_cell_antenna\": " << kernels->ns_per_cell_antenna
+        << ", \"isa\": \"" << kernels->isa << "\", \"cpu_model\": \""
+        << kernels->cpu_model << "\", \"cores\": " << kernels->cores << "}";
   }
   if (fullphy != nullptr) {
     out << ",\n  \"fullphy_measurement\": {\"reference_ms_per_round\": "
@@ -1319,12 +1399,27 @@ std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
 
     if (const JsonValue* base = root->Find("likelihood_map")) {
       if (!kernels) kernels = RunKernelComparison();
-      gate.AtLeast("likelihood_map.speedup", base->Number("speedup"),
-                   kernels->speedup);
-      if (gate_abs) {
-        gate.AtMost("likelihood_map.steering_plan_ms_per_map",
-                    base->Number("steering_plan_ms_per_map"),
-                    kernels->plan_ms_per_map);
+      if (const JsonValue* isa = base->Find("isa")) {
+        // A baseline that records its ISA gates the absolute kernel time,
+        // and only on that ISA: the time moves with the vector width.
+        if (!gate_abs) {
+          gate.Skip("likelihood_map.ns_per_cell_antenna",
+                    "absolute timing, needs --regress-abs");
+        } else if (isa->str != kernels->isa) {
+          gate.Skip("likelihood_map.ns_per_cell_antenna", "isa");
+        } else {
+          gate.AtMost("likelihood_map.ns_per_cell_antenna",
+                      base->Number("ns_per_cell_antenna"),
+                      kernels->ns_per_cell_antenna);
+        }
+      } else {
+        gate.AtLeast("likelihood_map.speedup", base->Number("speedup"),
+                     kernels->speedup);
+        if (gate_abs) {
+          gate.AtMost("likelihood_map.steering_plan_ms_per_map",
+                      base->Number("steering_plan_ms_per_map"),
+                      kernels->plan_ms_per_map);
+        }
       }
     }
 

@@ -191,15 +191,18 @@ double Localizer::AnchorMapInto(const CorrectedChannels& corrected,
     if (window == nullptr) {
       JointLikelihoodMapInto(input, *plan, map, ws);
     } else {
+      // One kernel call over all window rows: the chunk pass runs once per
+      // antenna, and each value lands at its own cell of `map`.
       BuildBandTable(input, *plan, ws.table, ws);
       const std::size_t cols = map.cols();
+      ws.spans.clear();
       for (std::size_t row = window->row0; row < window->row1; ++row) {
-        const CellSpan span{
-            static_cast<std::uint32_t>(row * cols + window->col0),
-            static_cast<std::uint32_t>(window->col1 - window->col0)};
-        JointLikelihoodSpansInto(*plan, ws.table, {&span, 1},
-                                 map.data().data() + span.begin);
+        ws.spans.push_back(
+            {static_cast<std::uint32_t>(row * cols + window->col0),
+             static_cast<std::uint32_t>(window->col1 - window->col0)});
       }
+      JointLikelihoodSpansInto(*plan, ws.table, ws.spans, map.data().data(),
+                               ws);
     }
   }
   // Peak-normalize so one near anchor cannot drown the others. Cells

@@ -16,6 +16,7 @@
 // SpectraConfig as the accuracy oracle.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "anchor/array.h"
@@ -80,10 +81,17 @@ struct SpectraConfig {
 /// interleaved (re, im) pair — 8 doubles, one cache line, per interval.
 using BandTable = dsp::AlignedVec<double>;
 
+/// A contiguous run of row-major grid cells: [begin, begin + length).
+struct CellSpan {
+  std::uint32_t begin = 0;
+  std::uint32_t length = 0;
+};
+
 /// Scratch buffers for the likelihood-map kernels: the dense 2 MHz band
 /// comb, the antenna-position cache and the steering-plan kernel's band
-/// table. Reusing one workspace across calls makes the in-place map
-/// variants allocation-free in steady state.
+/// table, terms and accumulators. Reusing one workspace across calls makes
+/// the in-place map variants allocation-free in steady state: the term and
+/// accumulator buffers only grow, to the largest plan seen.
 struct SpectraWorkspace {
   std::vector<dsp::CVec> dense;       // comb values per antenna
   std::vector<std::size_t> k_of;      // band index -> comb step
@@ -95,6 +103,13 @@ struct SpectraWorkspace {
   dsp::SplitComplexVec band_samples;
   /// The round's band table of the plan kernel (full map or window).
   BandTable table;
+  /// One antenna's chunk terms as (re, im) pairs (SteeringPlan::max_lanes()
+  /// lanes): a cell's gather reads both parts from one cache line.
+  dsp::AlignedVec<double> terms;
+  /// Per-cell coherent sums over the antennas (one per grid cell).
+  dsp::SplitComplexVec acc;
+  /// A cell window's rows as spans (Localizer::AnchorMapInto).
+  std::vector<CellSpan> spans;
 };
 
 namespace detail {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -52,9 +51,9 @@ SteeringPlan::SteeringPlan(SteeringPlanKey key) : key_(std::move(key)) {
     throw std::invalid_argument("SteeringPlan: grid too large");
   }
 
-  // The relative distances, and the D range the band tables must cover.
-  rel_d_.reserve(antennas);
-  for (std::size_t j = 0; j < antennas; ++j) rel_d_.emplace_back(spec);
+  // The relative distances (build scratch, antenna-minor), and the D range
+  // the band tables must cover.
+  std::vector<double> rel_d(cells_ * antennas);
   double d_min = std::numeric_limits<double>::infinity();
   double d_max = -d_min;
   for (std::size_t row = 0; row < rows; ++row) {
@@ -69,7 +68,7 @@ SteeringPlan::SteeringPlan(SteeringPlanKey key) : key_(std::move(key)) {
           throw std::invalid_argument(
               "SteeringPlan: non-finite relative distance");
         }
-        rel_d_[j].At(col, row) = relative;
+        rel_d[(row * cols + col) * antennas + j] = relative;
         d_min = std::min(d_min, relative);
         d_max = std::max(d_max, relative);
       }
@@ -98,29 +97,82 @@ SteeringPlan::SteeringPlan(SteeringPlanKey key) : key_(std::move(key)) {
     table_step_.re[t] = step.real();
     table_step_.im[t] = step.imag();
   }
+  // An antenna has at most cells_ lanes plus 7 padding lanes per interval,
+  // and the lane map counts them in 32 bits.
+  constexpr std::size_t kLanes = dsp::simd::kChunkLanes;
+  if (cells_ + (kLanes - 1) * len > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("SteeringPlan: grid too large");
+  }
 
-  terms_.resize(cells_ * antennas);
+  // The table interval holding D, and D's offset inside it. The interval's
+  // cubic interpolates entries whole-1 .. whole+2. The hot loop reads them
+  // unchecked, so this is the one place that bounds them.
+  const auto stencil = [&](double relative, double& frac) {
+    const double u = (relative - d0) / h;
+    const double whole = std::floor(u);
+    if (!(whole >= 1.0 && whole + 2.0 < span)) {
+      throw std::logic_error("SteeringPlan: band-table tap out of range");
+    }
+    frac = u - whole;
+    return static_cast<std::size_t>(whole);
+  };
+
+  // Counting sort by (antenna, interval): count the cells of each interval,
+  // then lay each antenna's intervals out as whole chunks in ascending
+  // order. `first` becomes the next free lane of each interval, counted
+  // from its antenna's first lane.
+  std::vector<std::uint32_t> first(antennas * len, 0);
   for (std::size_t cell = 0; cell < cells_; ++cell) {
     for (std::size_t j = 0; j < antennas; ++j) {
-      const double relative = rel_d_[j].data()[cell];
-      const double u = (relative - d0) / h;
-      const double whole = std::floor(u);
-      // The cell's cubic interpolates entries whole-1 .. whole+2. The hot
-      // loop reads them unchecked, so this is the one place that bounds
-      // them.
-      if (!(whole >= 1.0 && whole + 2.0 < span)) {
-        throw std::logic_error("SteeringPlan: band-table tap out of range");
-      }
-      PlanTerm& term = terms_[cell * antennas + j];
-      const cplx base =
-          dsp::Rotor(kTwoPi * key_.comb_f0 * relative / kSpeedOfLight);
-      term.base_re = base.real();
-      term.base_im = base.imag();
-      term.frac = u - whole;
-      term.interval = static_cast<std::uint32_t>(j * len) +
-                      static_cast<std::uint32_t>(whole);
+      double frac = 0.0;
+      ++first[j * len + stencil(rel_d[cell * antennas + j], frac)];
     }
   }
+  chunk_begin_.assign(antennas + 1, 0);
+  for (std::size_t j = 0; j < antennas; ++j) {
+    std::size_t lanes = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::size_t count = first[j * len + i];
+      first[j * len + i] = static_cast<std::uint32_t>(lanes);
+      const std::size_t chunks = (count + kLanes - 1) / kLanes;
+      chunk_interval_.insert(chunk_interval_.end(), chunks,
+                             static_cast<std::uint32_t>(j * len + i));
+      lanes += chunks * kLanes;
+    }
+    chunk_begin_[j + 1] = chunk_interval_.size();
+    max_lanes_ = std::max(max_lanes_, lanes);
+  }
+  // Padding lanes stay zero terms.
+  frac_.assign(chunk_interval_.size() * kLanes, 0.0);
+  base_re_.assign(frac_.size(), 0.0);
+  base_im_.assign(frac_.size(), 0.0);
+  lane_.resize(antennas * cells_);
+
+  // The one pass that computes the rotors writes each term straight into
+  // its sorted lane.
+  for (std::size_t cell = 0; cell < cells_; ++cell) {
+    for (std::size_t j = 0; j < antennas; ++j) {
+      const double relative = rel_d[cell * antennas + j];
+      double frac = 0.0;
+      const std::size_t whole = stencil(relative, frac);
+      const std::uint32_t lane = first[j * len + whole]++;
+      const std::size_t at = chunk_begin_[j] * kLanes + lane;
+      const cplx base =
+          dsp::Rotor(kTwoPi * key_.comb_f0 * relative / kSpeedOfLight);
+      frac_[at] = frac;
+      base_re_[at] = base.real();
+      base_im_[at] = base.imag();
+      lane_[j * cells_ + cell] = lane;
+    }
+  }
+}
+
+SteeringPlan::AntennaChunks SteeringPlan::chunks(std::size_t j) const {
+  const std::size_t begin = chunk_begin_[j];
+  const std::size_t lane0 = begin * dsp::simd::kChunkLanes;
+  return {chunk_begin_[j + 1] - begin, chunk_interval_.data() + begin,
+          frac_.data() + lane0,        base_re_.data() + lane0,
+          base_im_.data() + lane0,     lane_.data() + j * cells_};
 }
 
 SteeringPlanCache::SteeringPlanCache() : SteeringPlanCache(SteeringCacheLimits{}) {}
@@ -262,43 +314,6 @@ void CheckTable(const SteeringPlan& plan, const BandTable& table) {
   }
 }
 
-/// A complex value as an interleaved (re, im) lane pair. GCC/Clang lower
-/// the element-wise arithmetic to whatever vectors the target has (two
-/// scalar ops at worst), with per-lane IEEE semantics unchanged.
-typedef double Pair __attribute__((vector_size(16)));
-
-inline Pair LoadPair(const double* p) {
-  Pair v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-/// e^{j 2 pi f0 D / c} B_j(D) of one (cell, antenna) term: the cubic of the
-/// term's table interval at `frac`, times the base rotor. Every evaluation
-/// path calls this one expression and the file is built with
-/// -ffp-contract=off, so a cell's value never depends on which path
-/// computed it.
-inline Pair Term(const PlanTerm& p, const double* table) {
-  const double* c = table + 8 * std::size_t{p.interval};
-  const double s = p.frac;
-  const Pair b = LoadPair(c) +
-                 s * (LoadPair(c + 2) +
-                      s * (LoadPair(c + 4) + s * LoadPair(c + 6)));
-  // (b_re br - b_im bi, b_im br + b_re bi); negating a product is exact.
-  const Pair swapped = {b[1], b[0]};
-  const Pair sign = {-1.0, 1.0};
-  return b * p.base_re + swapped * p.base_im * sign;
-}
-
-/// The Eq. 17 magnitude of one cell: the antenna terms summed coherently in
-/// antenna order (the reference kernel's order).
-inline double JointCell(const PlanTerm* terms, std::size_t antennas,
-                        const double* table) {
-  Pair acc = {0.0, 0.0};
-  for (std::size_t j = 0; j < antennas; ++j) acc += Term(terms[j], table);
-  return std::sqrt(acc[0] * acc[0] + acc[1] * acc[1]);
-}
-
 }  // namespace
 
 void BuildBandTable(const SpectraInput& input, const SteeringPlan& plan,
@@ -354,48 +369,89 @@ void BuildGridTable(const SpectraInput& input, const SteeringPlan& plan,
   BuildBandTable(input, plan, ws.table, ws);
 }
 
-}  // namespace
+/// Grows `v` to at least `n` elements and never shrinks it, so a workspace
+/// shared by several plans settles at the largest and stops allocating.
+template <typename Vec>
+void Grow(Vec& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+}
 
-
-void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
-                              std::span<const CellSpan> spans, double* out) {
+/// The antenna sum of every cell of `spans`: per antenna, in antenna
+/// order, the dispatched chunk kernel evaluates all of its terms into
+/// ws.terms as (re, im) pairs, `transform` rewrites them in place (lane
+/// count given), and the gather kernel adds each requested cell's term to
+/// its ws.acc accumulator (antenna 0 starts it from zero). With `magnitude`
+/// set, the last antenna writes each cell's sqrt(re^2 + im^2) to
+/// magnitude[cell] instead.
+template <typename Transform>
+void AccumulateSpans(const SteeringPlan& plan, const BandTable& table,
+                     std::span<const CellSpan> spans, SpectraWorkspace& ws,
+                     const dsp::simd::Kernels& kernels,
+                     const Transform& transform, double* magnitude) {
   CheckTable(plan, table);
   const std::size_t total = plan.num_cells();
+  std::size_t end = 0;
   for (const CellSpan& sp : spans) {
-    if (sp.begin > total || sp.length > total - sp.begin) {
+    if (sp.begin < end || sp.begin > total || sp.length > total - sp.begin) {
       throw std::invalid_argument(
-          "JointLikelihoodSpansInto: span out of range");
+          "plan kernel: spans out of range, overlapping or out of order");
     }
+    end = sp.begin + sp.length;
   }
+  Grow(ws.terms, 2 * plan.max_lanes());
+  Grow(ws.acc.re, total);
+  Grow(ws.acc.im, total);
+  double* term = ws.terms.data();
   const std::size_t antennas = plan.num_antennas();
-  for (const CellSpan& sp : spans) {
-    const PlanTerm* terms = plan.terms(sp.begin);
-    for (std::size_t t = 0; t < sp.length; ++t) {
-      *out++ = JointCell(terms + t * antennas, antennas, table.data());
+  for (std::size_t j = 0; j < antennas; ++j) {
+    const SteeringPlan::AntennaChunks ch = plan.chunks(j);
+    kernels.chunk_terms(table.data(), ch.interval, ch.frac, ch.base_re,
+                        ch.base_im, term, ch.count);
+    transform(term, ch.lanes());
+    const bool last = magnitude != nullptr && j + 1 == antennas;
+    for (const CellSpan& sp : spans) {
+      kernels.gather_add(term, ch.lane + sp.begin, j == 0,
+                         ws.acc.re.data() + sp.begin,
+                         ws.acc.im.data() + sp.begin,
+                         last ? magnitude + sp.begin : nullptr, sp.length);
     }
   }
+}
+
+}  // namespace
+
+void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
+                              std::span<const CellSpan> spans, double* out,
+                              SpectraWorkspace& ws,
+                              const dsp::simd::Kernels& kernels) {
+  AccumulateSpans(plan, table, spans, ws, kernels,
+                  [](double*, std::size_t) {}, out);
 }
 
 void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
                             dsp::Grid2D& grid, SpectraWorkspace& ws) {
   BuildGridTable(input, plan, grid, ws);
   const CellSpan all{0, static_cast<std::uint32_t>(plan.num_cells())};
-  JointLikelihoodSpansInto(plan, ws.table, {&all, 1}, grid.data().data());
+  JointLikelihoodSpansInto(plan, ws.table, {&all, 1}, grid.data().data(), ws);
 }
 
 void DistanceOnlyMapInto(const SpectraInput& input, const SteeringPlan& plan,
-                         dsp::Grid2D& grid, SpectraWorkspace& ws) {
+                         dsp::Grid2D& grid, SpectraWorkspace& ws,
+                         const dsp::simd::Kernels& kernels) {
   BuildGridTable(input, plan, grid, ws);
-  double* out = grid.data().data();
-  for (std::size_t c = 0; c < plan.num_cells(); ++c) {
-    const PlanTerm* terms = plan.terms(c);
-    double sum = 0.0;
-    for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
-      const Pair t = Term(terms[j], ws.table.data());
-      sum += std::sqrt(t[0] * t[0] + t[1] * t[1]);
-    }
-    out[c] = sum;
-  }
+  const CellSpan all{0, static_cast<std::uint32_t>(plan.num_cells())};
+  // Eq. 16 sums the antennas incoherently: each term becomes its magnitude
+  // (imaginary part zero) before the gather adds it.
+  AccumulateSpans(plan, ws.table, {&all, 1}, ws, kernels,
+                  [](double* term, std::size_t lanes) {
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                      double* t = term + 2 * l;
+                      t[0] = std::sqrt(t[0] * t[0] + t[1] * t[1]);
+                      t[1] = 0.0;
+                    }
+                  },
+                  nullptr);
+  std::copy_n(ws.acc.re.data(), plan.num_cells(), grid.data().data());
 }
 
 }  // namespace bloc::core

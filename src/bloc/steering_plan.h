@@ -15,6 +15,11 @@
 // costs one cubic evaluation and one complex multiply per antenna: no
 // distance sqrt, no sin/cos, no comb walk.
 //
+// The plan stores each antenna's terms sorted by D-grid interval into
+// 8-lane chunks, one interval per chunk, so the dispatched chunk kernel
+// broadcasts one cubic per chunk and streams the lanes; a per-cell lane map
+// gathers the terms back into cell order.
+//
 // Interpolated values differ from the reference kernel by under 1e-6 of the
 // map peak; the full map and every cell window run the same span kernel,
 // so they agree with each other bit for bit.
@@ -32,6 +37,7 @@
 #include "bloc/spectra.h"
 #include "dsp/aligned.h"
 #include "dsp/grid2d.h"
+#include "dsp/simd_dispatch.h"
 #include "geom/vec2.h"
 #include "obs/metrics.h"
 
@@ -63,29 +69,37 @@ SteeringPlanKey MakeSteeringPlanKey(const SpectraInput& input,
 /// within 1e-6 of the map peak.
 inline constexpr double kBandTableStep = 0.05;
 
-/// One (cell, antenna) entry of a plan: everything the per-cell kernel needs
-/// to evaluate e^{j 2 pi f0 D / c} B_j(D) from the antenna's band table.
-struct PlanTerm {
-  /// The base rotor e^{j 2 pi f0 D / c}.
-  double base_re = 1.0;
-  double base_im = 0.0;
-  /// Position of D inside its table interval, in [0, 1).
-  double frac = 0.0;
-  /// The table interval holding D, counted antenna-major over the whole
-  /// band table (so it already includes the antenna's offset). Interval i
-  /// spans entries i .. i+1 and interpolates entries i-1 .. i+2.
-  std::uint32_t interval = 0;
-};
-static_assert(sizeof(PlanTerm) == 32);
-
-/// Immutable per-(anchor, grid, comb) precomputation: for every grid cell x
-/// and active antenna j, the relative distance D_j(x) = |x-a_j| - |x-m00| -
-/// d_i0, the base rotor and the band-table stencil of D_j(x); and, per
-/// plan, the D grid of the band tables with its step rotors
-/// e^{j 2 pi df D_t / c}. Cell index runs row-major, matching Grid2D
+/// Immutable per-(anchor, grid, comb) precomputation. For every grid cell
+/// x and active antenna j it holds the base rotor of the relative distance
+/// D_j(x) = |x-a_j| - |x-m00| - d_i0 and the band-table stencil of D_j(x);
+/// per plan, the D grid of the band tables with its step rotors
+/// e^{j 2 pi df D_t / c}. Cells are indexed row-major, matching Grid2D
 /// storage. Safe to share read-only across threads.
 class SteeringPlan {
  public:
+  /// Antenna j's terms: its cells grouped by band-table interval into
+  /// chunks of dsp::simd::kChunkLanes lanes, one interval per chunk, in
+  /// ascending interval order and ascending cell order within an interval.
+  /// Padding lanes are zero terms (frac 0, base rotor 0) that no cell maps
+  /// to.
+  struct AntennaChunks {
+    std::size_t count = 0;
+    /// Per chunk: its table interval, counted antenna-major over the whole
+    /// band table (so it includes the antenna's offset). Interval i spans
+    /// entries i .. i+1 and interpolates entries i-1 .. i+2.
+    const std::uint32_t* interval = nullptr;
+    /// Per lane (kChunkLanes per chunk): the offset of D inside the
+    /// chunk's interval, in [0, 1), and the base rotor e^{j 2 pi f0 D / c}.
+    const double* frac = nullptr;
+    const double* base_re = nullptr;
+    const double* base_im = nullptr;
+    /// Per cell: the lane holding the cell's term, counted from this
+    /// antenna's first lane.
+    const std::uint32_t* lane = nullptr;
+
+    std::size_t lanes() const { return count * dsp::simd::kChunkLanes; }
+  };
+
   /// Throws std::invalid_argument for an invalid grid, no antennas, or a
   /// non-finite relative distance (NaN/inf antenna or reference geometry).
   explicit SteeringPlan(SteeringPlanKey key);
@@ -94,15 +108,10 @@ class SteeringPlan {
   std::size_t num_cells() const { return cells_; }
   std::size_t num_antennas() const { return key_.antennas.size(); }
 
-  /// The D_j(x) field of antenna `j` (hyperbolic level sets, Fig. 6b).
-  const dsp::Grid2D& RelativeDistance(std::size_t j) const {
-    return rel_d_[j];
-  }
-
-  /// The num_antennas() terms of `cell`, antenna-minor.
-  const PlanTerm* terms(std::size_t cell) const {
-    return terms_.data() + cell * num_antennas();
-  }
+  /// Antenna j's chunks and lane map, for j < num_antennas().
+  AntennaChunks chunks(std::size_t j) const;
+  /// The most lanes of any one antenna: the per-antenna term scratch size.
+  std::size_t max_lanes() const { return max_lanes_; }
 
   /// D-grid entries (and table intervals) per antenna, kBandTableStep
   /// apart; band tables hold num_antennas() runs of them back to back.
@@ -112,19 +121,28 @@ class SteeringPlan {
   const dsp::SplitComplexVec& table_base() const { return table_base_; }
   const dsp::SplitComplexVec& table_step() const { return table_step_; }
 
-  /// Term + relative-distance + table-rotor storage of this plan, in bytes
-  /// — what the cache's byte budget accounts.
+  /// Chunk + lane-map + table-rotor storage of this plan, in bytes — what
+  /// the cache's byte budget accounts. Per (cell, antenna) that is 24 bytes
+  /// of frac and rotor per lane (padding included) plus a 4-byte lane.
   std::size_t MemoryBytes() const {
-    // A 32-byte PlanTerm plus the D field per (cell, antenna): 40 bytes.
-    return cells_ * num_antennas() * (sizeof(PlanTerm) + sizeof(double)) +
+    return frac_.size() * 3 * sizeof(double) +
+           chunk_interval_.size() * sizeof(std::uint32_t) +
+           lane_.size() * sizeof(std::uint32_t) +
            table_len() * 4 * sizeof(double);
   }
 
  private:
   SteeringPlanKey key_;
   std::size_t cells_ = 0;
-  std::vector<dsp::Grid2D> rel_d_;
-  dsp::AlignedVec<PlanTerm> terms_;
+  std::size_t max_lanes_ = 0;
+  /// Antenna j's chunks are [chunk_begin_[j], chunk_begin_[j + 1]).
+  std::vector<std::size_t> chunk_begin_;
+  std::vector<std::uint32_t> chunk_interval_;
+  dsp::AlignedVec<double> frac_;
+  dsp::AlignedVec<double> base_re_;
+  dsp::AlignedVec<double> base_im_;
+  /// Antenna-major: cells_ lanes per antenna.
+  dsp::AlignedVec<std::uint32_t> lane_;
   dsp::SplitComplexVec table_base_;  // (1, 0) per entry: the walk's start
   dsp::SplitComplexVec table_step_;
 };
@@ -222,7 +240,7 @@ void BuildBandTable(const SpectraInput& input, const SteeringPlan& plan,
                     BandTable& table, SpectraWorkspace& ws);
 
 /// Steering-plan variant of JointLikelihoodMapInto (spectra.h): builds the
-/// round's band table into ws.table, then interpolates every cell. Agrees
+/// round's band table into ws.table, then evaluates every cell. Agrees
 /// with the reference kernel to within 1e-6 of the map peak. `grid` must
 /// already have the plan's spec. Throws std::invalid_argument when `plan`
 /// does not match (input, grid).
@@ -230,24 +248,28 @@ void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,
                             dsp::Grid2D& grid, SpectraWorkspace& ws);
 
 /// Steering-plan variant of the Eq. 16 distance-only map (same contract).
-void DistanceOnlyMapInto(const SpectraInput& input, const SteeringPlan& plan,
-                         dsp::Grid2D& grid, SpectraWorkspace& ws);
+/// `kernels` selects the dispatched variant (the cross-ISA tests pin each).
+void DistanceOnlyMapInto(
+    const SpectraInput& input, const SteeringPlan& plan, dsp::Grid2D& grid,
+    SpectraWorkspace& ws,
+    const dsp::simd::Kernels& kernels = dsp::simd::Active());
 
-/// A contiguous run of row-major fine cells: [begin, begin + length).
-struct CellSpan {
-  std::uint32_t begin = 0;
-  std::uint32_t length = 0;
-};
-
-/// The one Eq. 17 plan kernel: evaluates the cells of `spans` from a band
-/// table BuildBandTable made for this plan, reading the plan's terms as one
-/// sequential stream per span. out[i] covers the spans concatenated in
-/// order. The full map is the single span over every cell; a cell window is
-/// one span per window row. Every value is bit-identical to the
-/// corresponding cell of the full-grid map (one per-cell expression, no FMA
-/// contraction). Throws std::invalid_argument when `table` does not fit
-/// `plan` or a span runs past the grid.
-void JointLikelihoodSpansInto(const SteeringPlan& plan, const BandTable& table,
-                              std::span<const CellSpan> spans, double* out);
+/// The one Eq. 17 plan kernel: evaluates the cells of `spans` (ascending
+/// and disjoint, CellSpan in spectra.h) from a band table BuildBandTable
+/// made for this plan, writing each cell's value to out[cell] and no other
+/// element of `out`. Per antenna, in antenna order, it evaluates the
+/// antenna's chunks and gather-adds their terms into ws's cell-order
+/// accumulators; the last antenna's gather writes each requested cell's
+/// sqrt(re^2 + im^2) instead. The
+/// full map is the single span over every cell; a cell window is one span
+/// per window row, all in one call. Every value is bit-identical to the
+/// corresponding cell of the full-grid map, and across `kernels` variants
+/// (one per-cell expression, no FMA contraction). Throws
+/// std::invalid_argument when `table` does not fit `plan` or the spans run
+/// past the grid, overlap or are out of order.
+void JointLikelihoodSpansInto(
+    const SteeringPlan& plan, const BandTable& table,
+    std::span<const CellSpan> spans, double* out, SpectraWorkspace& ws,
+    const dsp::simd::Kernels& kernels = dsp::simd::Active());
 
 }  // namespace bloc::core

@@ -1,17 +1,23 @@
-// Explicit scalar / AVX2 / AVX-512 variants of the comb walk.
+// Explicit scalar / AVX2 / AVX-512 variants of the comb walk and of the
+// two plan-chunk kernels.
 //
-// Every variant evaluates, per element c and comb step k:
+// The walk evaluates, per element c and comb step k:
 //   acc[c] += comb[k] * cur[c]  (complex MAC, split re/im; skipped on gaps)
 //   cur[c] *= step[c]           (complex rotate; skipped on the last step)
-// with the exact expression shapes of the scalar reference below — two
-// multiplies then one add/sub per component, never an FMA — so the results
-// are bit-identical across ISAs and across lane/tail splits. This file is
-// compiled with -ffp-contract=off (src/dsp/CMakeLists.txt) to keep the
-// compiler from fusing those multiply-adds behind our back.
+// The chunk kernel evaluates one Horner cubic and one complex multiply per
+// lane, and the gather kernel one add per (re, im) component (and, on a
+// map's last antenna, the magnitude sqrt(re * re + im * im)). Every vector
+// variant keeps the exact expression shapes of the scalar reference below —
+// separate multiplies and adds, never an FMA — so the results are bit-
+// identical across ISAs and across lane/tail splits. This file is compiled
+// with -ffp-contract=off (src/dsp/CMakeLists.txt) to keep the compiler from
+// fusing those multiply-adds behind our back.
 
 #include "dsp/simd_dispatch.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define BLOC_SIMD_X86 1
@@ -111,7 +117,61 @@ void WalkScalar(const double* comb, std::size_t steps, const double* base_re,
   }
 }
 
-constexpr Kernels kScalarKernels{WalkScalar, Isa::kScalar};
+/// A complex value as an interleaved (re, im) lane pair. GCC/Clang lower
+/// the element-wise arithmetic to whatever vectors the target has (two
+/// scalar ops at worst), with per-lane IEEE semantics unchanged; the
+/// baseline x86-64 ISA runs it two-wide.
+typedef double Pair __attribute__((vector_size(16)));
+
+inline Pair LoadPair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// One chunk: the cubic's coefficients are shared by its lanes, so they are
+// read once, as (re, im) pairs like the table stores them. Per component
+// this is the expression every variant evaluates: the rotor multiply's re
+// adds -(b_im * base_im), which is exactly b_re * base_re - b_im * base_im.
+void ChunkTermsScalar(const double* table, const std::uint32_t* interval,
+                      const double* frac, const double* base_re,
+                      const double* base_im, double* term,
+                      std::size_t chunks) {
+  const Pair sign = {-1.0, 1.0};
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const double* c = table + 8 * std::size_t{interval[k]};
+    const Pair c0 = LoadPair(c);
+    const Pair c1 = LoadPair(c + 2);
+    const Pair c2 = LoadPair(c + 4);
+    const Pair c3 = LoadPair(c + 6);
+    for (std::size_t l = kChunkLanes * k; l < kChunkLanes * (k + 1); ++l) {
+      const double s = frac[l];
+      const Pair b = c0 + s * (c1 + s * (c2 + s * c3));
+      const Pair swapped = {b[1], b[0]};
+      const Pair t = b * base_re[l] + swapped * base_im[l] * sign;
+      std::memcpy(term + 2 * l, &t, sizeof t);
+    }
+  }
+}
+
+void GatherAddScalar(const double* term, const std::uint32_t* lane, bool init,
+                     double* acc_re, double* acc_im, double* magnitude,
+                     std::size_t n) {
+  for (std::size_t c = 0; c < n; ++c) {
+    const double* t = term + 2 * std::size_t{lane[c]};
+    const double re = (init ? 0.0 : acc_re[c]) + t[0];
+    const double im = (init ? 0.0 : acc_im[c]) + t[1];
+    if (magnitude != nullptr) {
+      magnitude[c] = std::sqrt(re * re + im * im);
+    } else {
+      acc_re[c] = re;
+      acc_im[c] = im;
+    }
+  }
+}
+
+constexpr Kernels kScalarKernels{WalkScalar, ChunkTermsScalar,
+                                 GatherAddScalar, Isa::kScalar};
 
 #if defined(BLOC_SIMD_X86)
 
@@ -221,7 +281,86 @@ __attribute__((target("avx2"))) void WalkAvx2(
              acc_re + c, acc_im + c, n - c);
 }
 
-constexpr Kernels kAvx2Kernels{WalkAvx2, Isa::kAvx2};
+__attribute__((target("avx2"))) void ChunkTermsAvx2(
+    const double* table, const std::uint32_t* interval, const double* frac,
+    const double* base_re, const double* base_im, double* term,
+    std::size_t chunks) {
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const double* c = table + 8 * std::size_t{interval[k]};
+    const __m256d c0r = _mm256_broadcast_sd(c);
+    const __m256d c0i = _mm256_broadcast_sd(c + 1);
+    const __m256d c1r = _mm256_broadcast_sd(c + 2);
+    const __m256d c1i = _mm256_broadcast_sd(c + 3);
+    const __m256d c2r = _mm256_broadcast_sd(c + 4);
+    const __m256d c2i = _mm256_broadcast_sd(c + 5);
+    const __m256d c3r = _mm256_broadcast_sd(c + 6);
+    const __m256d c3i = _mm256_broadcast_sd(c + 7);
+    for (std::size_t h = 0; h < kChunkLanes; h += 4) {
+      const std::size_t l = kChunkLanes * k + h;
+      const __m256d s = _mm256_loadu_pd(frac + l);
+      const __m256d br = _mm256_add_pd(
+          c0r, _mm256_mul_pd(
+                   s, _mm256_add_pd(
+                          c1r, _mm256_mul_pd(
+                                   s, _mm256_add_pd(c2r, _mm256_mul_pd(s, c3r))))));
+      const __m256d bi = _mm256_add_pd(
+          c0i, _mm256_mul_pd(
+                   s, _mm256_add_pd(
+                          c1i, _mm256_mul_pd(
+                                   s, _mm256_add_pd(c2i, _mm256_mul_pd(s, c3i))))));
+      const __m256d pr = _mm256_loadu_pd(base_re + l);
+      const __m256d pi = _mm256_loadu_pd(base_im + l);
+      const __m256d tr =
+          _mm256_sub_pd(_mm256_mul_pd(br, pr), _mm256_mul_pd(bi, pi));
+      const __m256d ti =
+          _mm256_add_pd(_mm256_mul_pd(bi, pr), _mm256_mul_pd(br, pi));
+      // Interleave to (re, im) pairs: lanes 0 2 / 1 3, then swap halves.
+      const __m256d even = _mm256_unpacklo_pd(tr, ti);
+      const __m256d odd = _mm256_unpackhi_pd(tr, ti);
+      _mm256_storeu_pd(term + 2 * l, _mm256_permute2f128_pd(even, odd, 0x20));
+      _mm256_storeu_pd(term + 2 * l + 4,
+                       _mm256_permute2f128_pd(even, odd, 0x31));
+    }
+  }
+}
+
+/// The (re, im) pair of cell `c`'s term.
+__attribute__((target("avx2"))) inline __m128d TermPair(
+    const double* term, const std::uint32_t* lane, std::size_t c) {
+  return _mm_loadu_pd(term + 2 * std::size_t{lane[c]});
+}
+
+__attribute__((target("avx2"))) void GatherAddAvx2(
+    const double* term, const std::uint32_t* lane, bool init, double* acc_re,
+    double* acc_im, double* magnitude, std::size_t n) {
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    // a = pairs (0, 2), b = pairs (1, 3): the per-128-bit unpacks then give
+    // the four cells' re and im in cell order.
+    const __m256d a = _mm256_set_m128d(TermPair(term, lane, c + 2),
+                                       TermPair(term, lane, c));
+    const __m256d b = _mm256_set_m128d(TermPair(term, lane, c + 3),
+                                       TermPair(term, lane, c + 1));
+    const __m256d re = _mm256_add_pd(
+        init ? zero : _mm256_loadu_pd(acc_re + c), _mm256_unpacklo_pd(a, b));
+    const __m256d im = _mm256_add_pd(
+        init ? zero : _mm256_loadu_pd(acc_im + c), _mm256_unpackhi_pd(a, b));
+    if (magnitude != nullptr) {
+      _mm256_storeu_pd(magnitude + c,
+                       _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(re, re),
+                                                    _mm256_mul_pd(im, im))));
+    } else {
+      _mm256_storeu_pd(acc_re + c, re);
+      _mm256_storeu_pd(acc_im + c, im);
+    }
+  }
+  GatherAddScalar(term, lane + c, init, acc_re + c, acc_im + c,
+                  magnitude == nullptr ? nullptr : magnitude + c, n - c);
+}
+
+constexpr Kernels kAvx2Kernels{WalkAvx2, ChunkTermsAvx2, GatherAddAvx2,
+                               Isa::kAvx2};
 
 // ---------------------------------------------------------------------------
 // AVX-512F: 8 doubles per lane group, same expression tree.
@@ -323,7 +462,94 @@ __attribute__((target("avx512f"))) void WalkAvx512(
              acc_re + c, acc_im + c, n - c);
 }
 
-constexpr Kernels kAvx512Kernels{WalkAvx512, Isa::kAvx512};
+// One chunk is one vector: the cubic's coefficients are broadcasts and the
+// frac/rotor loads are contiguous.
+__attribute__((target("avx512f"))) void ChunkTermsAvx512(
+    const double* table, const std::uint32_t* interval, const double* frac,
+    const double* base_re, const double* base_im, double* term,
+    std::size_t chunks) {
+  // (re, im) pairs of lanes 0-3 and 4-7: index i < 8 picks tr[i], 8 + i
+  // picks ti[i].
+  const __m512i first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+  const __m512i second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+  for (std::size_t k = 0; k < chunks; ++k) {
+    const double* c = table + 8 * std::size_t{interval[k]};
+    const std::size_t l = kChunkLanes * k;
+    const __m512d s = _mm512_loadu_pd(frac + l);
+    const __m512d br = _mm512_add_pd(
+        _mm512_set1_pd(c[0]),
+        _mm512_mul_pd(
+            s, _mm512_add_pd(
+                   _mm512_set1_pd(c[2]),
+                   _mm512_mul_pd(s, _mm512_add_pd(
+                                        _mm512_set1_pd(c[4]),
+                                        _mm512_mul_pd(s, _mm512_set1_pd(c[6])))))));
+    const __m512d bi = _mm512_add_pd(
+        _mm512_set1_pd(c[1]),
+        _mm512_mul_pd(
+            s, _mm512_add_pd(
+                   _mm512_set1_pd(c[3]),
+                   _mm512_mul_pd(s, _mm512_add_pd(
+                                        _mm512_set1_pd(c[5]),
+                                        _mm512_mul_pd(s, _mm512_set1_pd(c[7])))))));
+    const __m512d pr = _mm512_loadu_pd(base_re + l);
+    const __m512d pi = _mm512_loadu_pd(base_im + l);
+    const __m512d tr =
+        _mm512_sub_pd(_mm512_mul_pd(br, pr), _mm512_mul_pd(bi, pi));
+    const __m512d ti =
+        _mm512_add_pd(_mm512_mul_pd(bi, pr), _mm512_mul_pd(br, pi));
+    _mm512_storeu_pd(term + 2 * l, _mm512_permutex2var_pd(tr, first, ti));
+    _mm512_storeu_pd(term + 2 * l + 8, _mm512_permutex2var_pd(tr, second, ti));
+  }
+}
+
+__attribute__((target("avx512f"))) void GatherAddAvx512(
+    const double* term, const std::uint32_t* lane, bool init, double* acc_re,
+    double* acc_im, double* magnitude, std::size_t n) {
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 8 <= n; c += 8) {
+    // a = pairs (0, 2, 4, 6), b = pairs (1, 3, 5, 7): the per-128-bit
+    // unpacks then give the eight cells' re and im in cell order. One
+    // 16-byte load per cell reads both parts from one cache line.
+    // (The maskz forms with a full mask: the plain intrinsics start from an
+    // undefined register.)
+    const __m512d a = _mm512_maskz_insertf64x4(
+        0xFF,
+        _mm512_castpd256_pd512(_mm256_set_m128d(TermPair(term, lane, c + 2),
+                                                TermPair(term, lane, c))),
+        _mm256_set_m128d(TermPair(term, lane, c + 6),
+                         TermPair(term, lane, c + 4)),
+        1);
+    const __m512d b = _mm512_maskz_insertf64x4(
+        0xFF,
+        _mm512_castpd256_pd512(_mm256_set_m128d(TermPair(term, lane, c + 3),
+                                                TermPair(term, lane, c + 1))),
+        _mm256_set_m128d(TermPair(term, lane, c + 7),
+                         TermPair(term, lane, c + 5)),
+        1);
+    const __m512d re =
+        _mm512_add_pd(init ? zero : _mm512_loadu_pd(acc_re + c),
+                      _mm512_maskz_unpacklo_pd(0xFF, a, b));
+    const __m512d im =
+        _mm512_add_pd(init ? zero : _mm512_loadu_pd(acc_im + c),
+                      _mm512_maskz_unpackhi_pd(0xFF, a, b));
+    if (magnitude != nullptr) {
+      _mm512_storeu_pd(
+          magnitude + c,
+          _mm512_maskz_sqrt_pd(0xFF, _mm512_add_pd(_mm512_mul_pd(re, re),
+                                                   _mm512_mul_pd(im, im))));
+    } else {
+      _mm512_storeu_pd(acc_re + c, re);
+      _mm512_storeu_pd(acc_im + c, im);
+    }
+  }
+  GatherAddScalar(term, lane + c, init, acc_re + c, acc_im + c,
+                  magnitude == nullptr ? nullptr : magnitude + c, n - c);
+}
+
+constexpr Kernels kAvx512Kernels{WalkAvx512, ChunkTermsAvx512,
+                                 GatherAddAvx512, Isa::kAvx512};
 
 #endif  // BLOC_SIMD_X86
 

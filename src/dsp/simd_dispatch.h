@@ -1,24 +1,26 @@
-// Runtime CPU dispatch for the split-complex comb walk.
+// Runtime CPU dispatch for the Eq. 17 plan kernels.
 //
 // The steering-plan kernel (bloc/steering_plan.h) tabulates each antenna's
 // band sum B_j(D) once per round by walking the dense band comb over a few
-// hundred table entries; every grid cell then interpolates that table. The
-// walk is the one dispatched kernel: this facility probes the CPU once at
-// startup and resolves a function-pointer table to explicit scalar / AVX2 /
-// AVX-512 variants, so a portable binary still runs 512-bit walks on
-// machines that have them.
+// hundred table entries (`walk`); each antenna's plan terms, grouped by
+// table interval into 8-lane chunks, then interpolate that table
+// (`chunk_terms`) and are gathered back into cell order (`gather_add`).
+// This facility probes the CPU once at startup and resolves a function-
+// pointer table to explicit scalar / AVX2 / AVX-512 variants of all three,
+// so a portable binary still runs 512-bit code on machines that have it.
 //
 // Bit-identity contract: every variant performs the same IEEE-754 double
 // operations in the same per-element order and none uses FMA (the
 // translation unit is additionally built with -ffp-contract=off), so every
-// table entry — and with it every map value — is bit-identical across ISAs
-// and lane packings. The cross-ISA parity tests rely on this.
+// table entry, plan term and map value is bit-identical across ISAs and
+// lane packings. The cross-ISA parity tests rely on this.
 //
 // `BLOC_FORCE_ISA=scalar|avx2|avx512` overrides the probe (clamped down to
 // what the CPU supports) — used by the tests and the CI scalar leg.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -29,6 +31,9 @@ enum class Isa {
   kAvx2 = 1,
   kAvx512 = 2,
 };
+
+/// Lanes of one plan chunk: one AVX-512 vector of doubles.
+inline constexpr std::size_t kChunkLanes = 8;
 
 /// The dispatched kernels. All per-element arrays are length `n`; aliasing
 /// between distinct arguments is not allowed.
@@ -42,6 +47,25 @@ struct Kernels {
                const double* base_im, const double* step_re,
                const double* step_im, double* acc_re, double* acc_im,
                std::size_t n);
+  /// The plan terms of `chunks` chunks of kChunkLanes lanes. Chunk k reads
+  /// the 8 doubles at table + 8 * interval[k] — the Horner coefficients
+  /// c0..c3 of one cubic as interleaved (re, im) pairs — and each of its
+  /// lanes l = kChunkLanes * k + i evaluates, per component,
+  ///   b = c0 + s * (c1 + s * (c2 + s * c3)),  s = frac[l],
+  /// then writes the term b * base[l] as the pair term[2l], term[2l + 1]:
+  /// re = b_re * base_re - b_im * base_im, im = b_im * base_re + b_re *
+  /// base_im.
+  void (*chunk_terms)(const double* table, const std::uint32_t* interval,
+                      const double* frac, const double* base_re,
+                      const double* base_im, double* term,
+                      std::size_t chunks);
+  /// For c < n, per component: sum = (init ? 0.0 : acc[c]) + the pair at
+  /// term + 2 * lane[c]. Stores sum to acc, or, when `magnitude` is not
+  /// null, stores sqrt(sum_re * sum_re + sum_im * sum_im) to magnitude[c]
+  /// instead and leaves acc untouched (the last antenna of a map).
+  void (*gather_add)(const double* term, const std::uint32_t* lane, bool init,
+                     double* acc_re, double* acc_im, double* magnitude,
+                     std::size_t n);
   Isa isa = Isa::kScalar;
 };
 

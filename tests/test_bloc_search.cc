@@ -104,8 +104,9 @@ TEST(Search, SpansBitIdenticalToFullMap) {
   dsp::Grid2D full(config.grid);
   JointLikelihoodMapInto(input, *plan, full, sws);
 
-  // Spans at awkward offsets, including one that wraps a row boundary (the
-  // gap-merged survivor runs do this routinely).
+  // Spans at awkward offsets, including one that wraps a row boundary, all
+  // in one call; each value lands at its own cell and nothing else is
+  // written.
   const auto cols = static_cast<std::uint32_t>(config.grid.Cols());
   const std::vector<CellSpan> spans = {
       {0, 1},
@@ -113,20 +114,17 @@ TEST(Search, SpansBitIdenticalToFullMap) {
       {cols - 3, 9},  // wraps into the second row
       {3 * cols + 1, 2 * cols},
   };
-  std::size_t total = 0;
-  for (const CellSpan& s : spans) total += s.length;
-  std::vector<double> out(total);
+  std::vector<double> out(full.data().size(), -1.0);
   BandTable table;
   BuildBandTable(input, *plan, table, sws);
-  JointLikelihoodSpansInto(*plan, table, spans, out.data());
+  JointLikelihoodSpansInto(*plan, table, spans, out.data(), sws);
 
-  std::size_t off = 0;
+  std::vector<bool> inside(out.size(), false);
   for (const CellSpan& s : spans) {
-    for (std::uint32_t t = 0; t < s.length; ++t) {
-      ASSERT_EQ(out[off + t], full.data()[s.begin + t])
-          << "span begin=" << s.begin << " t=" << t;
-    }
-    off += s.length;
+    for (std::uint32_t t = 0; t < s.length; ++t) inside[s.begin + t] = true;
+  }
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    ASSERT_EQ(out[c], inside[c] ? full.data()[c] : -1.0) << "cell " << c;
   }
 }
 

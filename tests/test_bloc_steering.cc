@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <thread>
 #include <vector>
@@ -65,6 +67,17 @@ RandomScene MakeRandomScene(std::mt19937& rng, std::size_t keep_every = 1) {
   }
   s.grid = {0.0, 0.0, 6.0, 5.0, 0.25};
   return s;
+}
+
+/// The dispatch variants this CPU can run, scalar first.
+std::vector<dsp::simd::Isa> SupportedIsas() {
+  std::vector<dsp::simd::Isa> isas;
+  for (const dsp::simd::Isa isa : {dsp::simd::Isa::kScalar,
+                                   dsp::simd::Isa::kAvx2,
+                                   dsp::simd::Isa::kAvx512}) {
+    if (dsp::simd::IsaSupported(isa)) isas.push_back(isa);
+  }
+  return isas;
 }
 
 double MaxAbsDiff(const dsp::Grid2D& a, const dsp::Grid2D& b) {
@@ -131,21 +144,118 @@ TEST(SteeringPlanParity, MaxAntennasRespected) {
   EXPECT_LT(PeakRelativeDiff(reference, planned), kPeakRelativeBound);
 }
 
-TEST(SteeringPlan, RelativeDistanceFieldIsExact) {
+/// The plan's chunk layout, checked against the geometry: every cell has
+/// exactly one lane per antenna, that lane's chunk interval brackets D_j(x)
+/// recomputed from the antenna positions (and its offset and base rotor are
+/// D_j(x)'s), each antenna's chunks run in ascending interval order, and
+/// every padding lane is a zero term that evaluates to zero on every ISA.
+TEST(SteeringPlan, ChunkLayoutBracketsRelativeDistance) {
   std::mt19937 rng(5);
-  const RandomScene s = MakeRandomScene(rng);
-  const SteeringPlan plan(MakeSteeringPlanKey(s.Input(), s.grid));
-  for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
-    const dsp::Grid2D& field = plan.RelativeDistance(j);
-    for (std::size_t row = 0; row < field.rows(); row += 3) {
-      for (std::size_t col = 0; col < field.cols(); col += 3) {
-        const geom::Vec2 x{field.XOf(col), field.YOf(row)};
-        const double expected =
-            geom::Distance(x, s.geometry.AntennaPosition(j)) -
-            geom::Distance(x, s.master_ref) - s.d_i0;
-        EXPECT_DOUBLE_EQ(field.At(col, row), expected);
+  for (const double resolution : {0.25, 0.05}) {
+    RandomScene s = MakeRandomScene(rng);
+    s.grid.resolution = resolution;
+    const SpectraInput input = s.Input();
+    const SteeringPlan plan(MakeSteeringPlanKey(input, s.grid));
+    const std::size_t cells = plan.num_cells();
+    const std::size_t len = plan.table_len();
+    constexpr std::size_t kLanes = dsp::simd::kChunkLanes;
+    constexpr double h = kBandTableStep;
+
+    // D_j(x) from the geometry, and the table origin the builder derives
+    // from its minimum (two entries of margin below it).
+    const auto relative = [&](std::size_t cell, std::size_t j) {
+      const geom::Vec2 x{s.grid.XOf(cell % s.grid.Cols()),
+                         s.grid.YOf(cell / s.grid.Cols())};
+      return geom::Distance(x, s.geometry.AntennaPosition(j)) -
+             geom::Distance(x, s.master_ref) - s.d_i0;
+    };
+    double d_min = std::numeric_limits<double>::infinity();
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
+        d_min = std::min(d_min, relative(cell, j));
       }
     }
+    const double d0 = (std::floor(d_min / h) - 2.0) * h;
+
+    SpectraWorkspace ws;
+    BandTable table;
+    BuildBandTable(input, plan, table, ws);
+    for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
+      const SteeringPlan::AntennaChunks ch = plan.chunks(j);
+      ASSERT_LE(ch.lanes(), plan.max_lanes());
+      for (std::size_t k = 0; k < ch.count; ++k) {
+        ASSERT_GE(ch.interval[k], j * len + 1) << "antenna " << j;
+        ASSERT_LT(ch.interval[k] + 2, (j + 1) * len) << "antenna " << j;
+        if (k > 0) {
+          ASSERT_GE(ch.interval[k], ch.interval[k - 1]);
+        }
+      }
+      std::vector<bool> used(ch.lanes(), false);
+      for (std::size_t cell = 0; cell < cells; ++cell) {
+        const std::uint32_t lane = ch.lane[cell];
+        ASSERT_LT(lane, ch.lanes()) << "antenna " << j << " cell " << cell;
+        ASSERT_FALSE(used[lane]) << "antenna " << j << " lane " << lane;
+        used[lane] = true;
+        const double d = relative(cell, j);
+        const double lo =
+            d0 + static_cast<double>(ch.interval[lane / kLanes] - j * len) * h;
+        EXPECT_GE(d, lo - 1e-9) << "antenna " << j << " cell " << cell;
+        EXPECT_LT(d, lo + h + 1e-9) << "antenna " << j << " cell " << cell;
+        EXPECT_NEAR(ch.frac[lane], (d - lo) / h, 1e-9);
+        const double phi = 2.0 * dsp::kPi * input.band_freqs_hz.front() * d /
+                           dsp::kSpeedOfLight;
+        EXPECT_NEAR(ch.base_re[lane], std::cos(phi), 1e-9);
+        EXPECT_NEAR(ch.base_im[lane], std::sin(phi), 1e-9);
+      }
+      std::size_t padding = 0;
+      for (std::size_t lane = 0; lane < ch.lanes(); ++lane) {
+        if (used[lane]) continue;
+        ++padding;
+        EXPECT_EQ(ch.frac[lane], 0.0);
+        EXPECT_EQ(ch.base_re[lane], 0.0);
+        EXPECT_EQ(ch.base_im[lane], 0.0);
+      }
+      // Padding only tops up each interval's last chunk.
+      std::size_t intervals = 0;
+      for (std::size_t k = 0; k < ch.count; ++k) {
+        intervals += k == 0 || ch.interval[k] != ch.interval[k - 1];
+      }
+      EXPECT_LE(padding, (kLanes - 1) * intervals) << "antenna " << j;
+      for (const dsp::simd::Isa isa : SupportedIsas()) {
+        std::vector<double> term(2 * ch.lanes(), 1.0);
+        dsp::simd::ForIsa(isa).chunk_terms(table.data(), ch.interval, ch.frac,
+                                           ch.base_re, ch.base_im, term.data(),
+                                           ch.count);
+        for (std::size_t lane = 0; lane < ch.lanes(); ++lane) {
+          if (used[lane]) continue;
+          ASSERT_EQ(term[2 * lane], 0.0) << dsp::simd::IsaName(isa);
+          ASSERT_EQ(term[2 * lane + 1], 0.0) << dsp::simd::IsaName(isa);
+        }
+      }
+    }
+  }
+}
+
+/// The chunk layout is the whole plan: on the fig9 grid it takes no more
+/// memory than the 40 bytes per (cell, antenna) of the cell-major layout it
+/// replaced (a 32-byte term plus the stored D field).
+TEST(SteeringPlan, Fig9PlanNoLargerThanCellMajorLayout) {
+  sim::DatasetOptions options;
+  options.locations = 1;
+  const sim::Dataset dataset =
+      sim::GenerateDataset(sim::PaperTestbed(1), options);
+  const Localizer localizer(dataset.deployment,
+                            sim::PaperLocalizerConfig(dataset));
+  const CorrectedChannels corrected = localizer.CorrectedFor(dataset.rounds[0]);
+  ASSERT_FALSE(corrected.anchors.empty());
+  for (std::size_t a = 0; a < corrected.anchors.size(); ++a) {
+    const SpectraInput input = localizer.SpectraInputFor(corrected, a);
+    const SteeringPlan plan(
+        MakeSteeringPlanKey(input, localizer.config().grid));
+    const std::size_t cell_major =
+        plan.num_cells() * plan.num_antennas() * 40 +
+        plan.table_len() * 4 * sizeof(double);
+    EXPECT_LE(plan.MemoryBytes(), cell_major) << "anchor " << a;
   }
 }
 
@@ -366,13 +476,15 @@ TEST(KeepMap, SharedMapSurvivesLaterRounds) {
   EXPECT_EQ(first.fused_map->data(), snapshot);
 }
 
-/// Subset evaluation must reproduce the full-grid values bit for bit: single
-/// cells in whatever order they arrive, and spans at any offset.
+/// Subset evaluation must reproduce the full-grid values bit for bit and
+/// write nothing but its own cells: single cells and spans of every length
+/// at random offsets, ascending and disjoint.
 TEST(SteeringPlan, CellSubsetBitIdenticalToFullMap) {
   std::mt19937 rng(41);
   const RandomScene s = MakeRandomScene(rng);
   const SpectraInput input = s.Input();
   const SteeringPlan plan(MakeSteeringPlanKey(input, s.grid));
+  const auto cells = static_cast<std::uint32_t>(plan.num_cells());
 
   SpectraWorkspace ws;
   dsp::Grid2D full(s.grid);
@@ -380,55 +492,63 @@ TEST(SteeringPlan, CellSubsetBitIdenticalToFullMap) {
   BandTable table;
   BuildBandTable(input, plan, table, ws);
 
-  std::vector<std::uint32_t> cells;
-  std::uniform_int_distribution<std::uint32_t> pick(
-      0, static_cast<std::uint32_t>(plan.num_cells() - 1));
-  for (int i = 0; i < 64; ++i) cells.push_back(pick(rng));
-  std::shuffle(cells.begin(), cells.end(), rng);
-
-  std::vector<CellSpan> singles;
-  for (const std::uint32_t cell : cells) singles.push_back({cell, 1});
-  std::vector<double> out(cells.size());
-  JointLikelihoodSpansInto(plan, table, singles, out.data());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(out[i], full.data()[cells[i]]) << "cell " << cells[i];
-  }
-
-  // Spans of every length from 1 up, at random offsets, plus the whole grid.
-  std::vector<CellSpan> spans;
-  std::size_t span_cells = 0;
-  for (std::uint32_t length = 1; length <= 40; length += 3) {
-    std::uniform_int_distribution<std::uint32_t> begin(
-        0, static_cast<std::uint32_t>(plan.num_cells()) - length);
-    spans.push_back({begin(rng), length});
-    span_cells += length;
-  }
-  spans.push_back({0, static_cast<std::uint32_t>(plan.num_cells())});
-  span_cells += plan.num_cells();
-  out.assign(span_cells, 0.0);
-  JointLikelihoodSpansInto(plan, table, spans, out.data());
-  std::size_t off = 0;
-  for (const CellSpan& sp : spans) {
-    for (std::uint32_t t = 0; t < sp.length; ++t) {
-      ASSERT_EQ(out[off + t], full.data()[sp.begin + t])
-          << "span begin=" << sp.begin << " t=" << t;
+  const auto check = [&](const std::vector<CellSpan>& spans) {
+    std::vector<double> out(cells, -1.0);
+    JointLikelihoodSpansInto(plan, table, spans, out.data(), ws);
+    std::vector<bool> inside(cells, false);
+    for (const CellSpan& sp : spans) {
+      for (std::uint32_t t = 0; t < sp.length; ++t) inside[sp.begin + t] = true;
     }
-    off += sp.length;
-  }
+    for (std::uint32_t c = 0; c < cells; ++c) {
+      ASSERT_EQ(out[c], inside[c] ? full.data()[c] : -1.0) << "cell " << c;
+    }
+  };
 
-  const std::vector<CellSpan> bad = {
-      {static_cast<std::uint32_t>(plan.num_cells()), 1}};
+  // 64 distinct single cells.
+  std::vector<std::uint32_t> picked(cells);
+  std::iota(picked.begin(), picked.end(), 0u);
+  std::shuffle(picked.begin(), picked.end(), rng);
+  picked.resize(64);
+  std::sort(picked.begin(), picked.end());
+  std::vector<CellSpan> singles;
+  for (const std::uint32_t cell : picked) singles.push_back({cell, 1});
+  check(singles);
+
+  // Spans of lengths 1, 4, ..., 40 separated by random gaps (some empty).
+  std::vector<CellSpan> spans;
+  std::uniform_int_distribution<std::uint32_t> gap(0, 9);
+  std::uint32_t next = gap(rng);
+  for (std::uint32_t length = 1; length <= 40 && next + length <= cells;
+       length += 3) {
+    spans.push_back({next, length});
+    next += length + gap(rng);
+  }
+  check(spans);
+  check({{0, cells}});
+
   double scratch = 0.0;
-  EXPECT_THROW(JointLikelihoodSpansInto(plan, table, bad, &scratch),
+  const std::vector<CellSpan> past_end = {{cells, 1}};
+  EXPECT_THROW(JointLikelihoodSpansInto(plan, table, past_end, &scratch, ws),
                std::invalid_argument);
-  const std::vector<CellSpan> bad_span = {
-      {static_cast<std::uint32_t>(plan.num_cells()) - 1, 2}};
-  EXPECT_THROW(JointLikelihoodSpansInto(plan, table, bad_span, &scratch),
-               std::invalid_argument);
+  const std::vector<CellSpan> straddling = {{cells - 1, 2}};
+  EXPECT_THROW(
+      JointLikelihoodSpansInto(plan, table, straddling, &scratch, ws),
+      std::invalid_argument);
+  // Each cell's accumulator restarts at the first antenna, so overlapping
+  // or descending spans are refused rather than summed twice.
+  std::vector<double> out(cells);
+  const std::vector<CellSpan> overlapping = {{0, 4}, {3, 2}};
+  EXPECT_THROW(
+      JointLikelihoodSpansInto(plan, table, overlapping, out.data(), ws),
+      std::invalid_argument);
+  const std::vector<CellSpan> descending = {{8, 1}, {2, 1}};
+  EXPECT_THROW(
+      JointLikelihoodSpansInto(plan, table, descending, out.data(), ws),
+      std::invalid_argument);
   // A table built for another plan shape is rejected, not read past.
   const BandTable short_table;
   EXPECT_THROW(
-      JointLikelihoodSpansInto(plan, short_table, singles, out.data()),
+      JointLikelihoodSpansInto(plan, short_table, singles, out.data(), ws),
       std::invalid_argument);
 }
 
@@ -448,9 +568,7 @@ TEST(SteeringPlan, BandTableBitIdenticalAcrossIsas) {
     const std::size_t len = plan.table_len();
     ASSERT_EQ(table.size(), plan.num_antennas() * len * 8);
 
-    using dsp::simd::Isa;
-    for (const Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
-      if (!dsp::simd::IsaSupported(isa)) continue;
+    for (const dsp::simd::Isa isa : SupportedIsas()) {
       std::vector<double> re(len), im(len);
       for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
         dsp::simd::ForIsa(isa).walk(
@@ -581,6 +699,137 @@ TEST(DistanceOnlyMap, CacheReusesPlans) {
   const dsp::Grid2D second = DistanceOnlyMap(s.Input(), s.grid, &cache);
   EXPECT_EQ(cache.builds(), 1u);
   EXPECT_EQ(MaxAbsDiff(first, second), 0.0);
+}
+
+/// The per-cell Eq. 17 expression of the cell-major kernel the chunk
+/// layout replaced, kept as the oracle of every dispatched variant: antenna
+/// j's term is its interval's cubic at its offset (Horner on interleaved
+/// (re, im) pairs) times its base rotor, and a cell sums its antenna terms
+/// from zero in antenna order. This file is built with -ffp-contract=off, so
+/// the oracle's multiply-adds stay unfused like the kernels'.
+typedef double Pair __attribute__((vector_size(16)));
+
+Pair LoadPair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Antenna j's term of `cell`, read through the plan's lane map.
+Pair OracleTerm(const SteeringPlan& plan, const BandTable& table,
+                std::size_t j, std::size_t cell) {
+  const SteeringPlan::AntennaChunks ch = plan.chunks(j);
+  const std::uint32_t lane = ch.lane[cell];
+  const double* c =
+      table.data() + 8 * std::size_t{ch.interval[lane / dsp::simd::kChunkLanes]};
+  const double s = ch.frac[lane];
+  const Pair b = LoadPair(c) +
+                 s * (LoadPair(c + 2) +
+                      s * (LoadPair(c + 4) + s * LoadPair(c + 6)));
+  // (b_re br - b_im bi, b_im br + b_re bi); negating a product is exact.
+  const Pair swapped = {b[1], b[0]};
+  const Pair sign = {-1.0, 1.0};
+  return b * ch.base_re[lane] + swapped * ch.base_im[lane] * sign;
+}
+
+/// Eq. 17: the coherent antenna sum's magnitude.
+double OracleJointCell(const SteeringPlan& plan, const BandTable& table,
+                       std::size_t cell) {
+  Pair acc = {0.0, 0.0};
+  for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
+    acc += OracleTerm(plan, table, j, cell);
+  }
+  return std::sqrt(acc[0] * acc[0] + acc[1] * acc[1]);
+}
+
+/// Eq. 16: the antenna terms' magnitudes summed.
+double OracleDistanceCell(const SteeringPlan& plan, const BandTable& table,
+                          std::size_t cell) {
+  double sum = 0.0;
+  for (std::size_t j = 0; j < plan.num_antennas(); ++j) {
+    const Pair t = OracleTerm(plan, table, j, cell);
+    sum += std::sqrt(t[0] * t[0] + t[1] * t[1]);
+  }
+  return sum;
+}
+
+/// Every supported ISA's plan kernels match the per-cell oracle bit for
+/// bit, writing only the requested cells: on the full map, on random
+/// ascending spans, on square gate windows clipped at every grid edge and
+/// corner, and on the Eq. 16 distance-only map.
+TEST(SteeringPlanKernels, EveryIsaMatchesPerCellOracle) {
+  std::mt19937 rng(53);
+  for (int trial = 0; trial < 4; ++trial) {
+    RandomScene s = MakeRandomScene(rng, 1 + static_cast<std::size_t>(trial % 3));
+    if (trial % 2 == 1) s.grid.resolution = 0.075;  // the fig9 spacing
+    const SpectraInput input = s.Input();
+    const SteeringPlan plan(MakeSteeringPlanKey(input, s.grid));
+    const std::size_t cells = plan.num_cells();
+    const std::size_t cols = s.grid.Cols();
+    const std::size_t rows = s.grid.Rows();
+    SpectraWorkspace ws;
+    BandTable table;
+    BuildBandTable(input, plan, table, ws);
+    std::vector<double> joint(cells), distance(cells);
+    for (std::size_t c = 0; c < cells; ++c) {
+      joint[c] = OracleJointCell(plan, table, c);
+      distance[c] = OracleDistanceCell(plan, table, c);
+    }
+
+    // Span lists: the whole grid, random ascending spans, and the rows of
+    // 9x9 gate windows centred on each corner, each edge's midpoint and the
+    // middle, clipped to the grid.
+    std::vector<std::vector<CellSpan>> cases;
+    cases.push_back({{0, static_cast<std::uint32_t>(cells)}});
+    std::vector<CellSpan> random;
+    std::uniform_int_distribution<std::uint32_t> step(0, 60);
+    for (std::uint32_t next = step(rng); next < cells;) {
+      const std::uint32_t length = std::min<std::uint32_t>(
+          step(rng), static_cast<std::uint32_t>(cells) - next);
+      random.push_back({next, length});
+      next += length + step(rng);
+    }
+    cases.push_back(random);
+    for (const std::size_t cr : {std::size_t{0}, rows / 2, rows - 1}) {
+      for (const std::size_t cc : {std::size_t{0}, cols / 2, cols - 1}) {
+        const std::size_t r0 = cr >= 4 ? cr - 4 : 0;
+        const std::size_t r1 = std::min(rows, cr + 5);
+        const std::size_t c0 = cc >= 4 ? cc - 4 : 0;
+        const std::size_t c1 = std::min(cols, cc + 5);
+        std::vector<CellSpan> window;
+        for (std::size_t r = r0; r < r1; ++r) {
+          window.push_back({static_cast<std::uint32_t>(r * cols + c0),
+                            static_cast<std::uint32_t>(c1 - c0)});
+        }
+        cases.push_back(window);
+      }
+    }
+
+    for (const dsp::simd::Isa isa : SupportedIsas()) {
+      const dsp::simd::Kernels& kernels = dsp::simd::ForIsa(isa);
+      for (const std::vector<CellSpan>& spans : cases) {
+        std::vector<double> out(cells, -1.0);
+        std::vector<bool> inside(cells, false);
+        for (const CellSpan& sp : spans) {
+          for (std::uint32_t t = 0; t < sp.length; ++t) {
+            inside[sp.begin + t] = true;
+          }
+        }
+        JointLikelihoodSpansInto(plan, table, spans, out.data(), ws, kernels);
+        for (std::size_t c = 0; c < cells; ++c) {
+          ASSERT_EQ(out[c], inside[c] ? joint[c] : -1.0)
+              << dsp::simd::IsaName(isa) << " trial " << trial << " cell "
+              << c << " of " << spans.size() << " spans";
+        }
+      }
+      dsp::Grid2D map(s.grid);
+      DistanceOnlyMapInto(input, plan, map, ws, kernels);
+      for (std::size_t c = 0; c < cells; ++c) {
+        ASSERT_EQ(map.data()[c], distance[c])
+            << dsp::simd::IsaName(isa) << " trial " << trial << " cell " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

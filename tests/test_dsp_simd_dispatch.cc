@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -75,8 +77,8 @@ struct Operands {
 };
 
 // Every kernel variant must produce bit-identical doubles for every lane —
-// the band tables, and with them every map value, depend on it, so the
-// comparisons below are EXPECT_EQ, not EXPECT_NEAR.
+// the band tables, the plan terms and with them every map value depend on
+// it, so the comparisons below are exact, not EXPECT_NEAR.
 TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
   std::mt19937 rng(7);
   const Kernels& ref = ForIsa(Isa::kScalar);
@@ -97,6 +99,86 @@ TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
         ASSERT_EQ(a.acc_re[i], b.acc_re[i]) << "walk n=" << n << " i=" << i;
         ASSERT_EQ(a.acc_im[i], b.acc_im[i]) << "walk n=" << n << " i=" << i;
       }
+    }
+  }
+
+  // The plan-chunk kernels: random cubics, offsets and rotors, and a gather
+  // of random lanes over every tail length, both starting a sum and adding
+  // to one.
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  const auto random = [&](std::size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = u(rng);
+    return v;
+  };
+  constexpr std::size_t kIntervals = 23;
+  const std::vector<double> table = random(8 * kIntervals);
+  for (const std::size_t chunks : {1u, 2u, 7u, 40u}) {
+    const std::size_t lanes = chunks * kChunkLanes;
+    std::vector<std::uint32_t> interval(chunks);
+    std::uniform_int_distribution<std::uint32_t> pick(0, kIntervals - 1);
+    for (std::uint32_t& i : interval) i = pick(rng);
+    std::vector<double> frac = random(lanes);
+    for (double& f : frac) f = 0.5 * (f + 1.0);  // [0, 1)
+    const std::vector<double> base_re = random(lanes);
+    const std::vector<double> base_im = random(lanes);
+    std::vector<double> ref_term(2 * lanes);
+    ref.chunk_terms(table.data(), interval.data(), frac.data(), base_re.data(),
+                    base_im.data(), ref_term.data(), chunks);
+    std::vector<std::uint32_t> lane(lanes + 5);
+    std::uniform_int_distribution<std::uint32_t> any_lane(
+        0, static_cast<std::uint32_t>(lanes - 1));
+    for (std::uint32_t& l : lane) l = any_lane(rng);
+    const std::vector<double> acc_re0 = random(lane.size());
+    const std::vector<double> acc_im0 = random(lane.size());
+    for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
+      if (!IsaSupported(isa)) continue;
+      const Kernels& alt = ForIsa(isa);
+      std::vector<double> term(2 * lanes);
+      alt.chunk_terms(table.data(), interval.data(), frac.data(),
+                      base_re.data(), base_im.data(), term.data(), chunks);
+      ASSERT_EQ(ref_term, term) << "chunk_terms " << IsaName(isa);
+      for (const bool init : {true, false}) {
+        for (const bool finish : {false, true}) {
+          for (std::size_t n = 0; n <= lane.size(); ++n) {
+            std::vector<double> a_re = acc_re0, a_im = acc_im0;
+            std::vector<double> b_re = acc_re0, b_im = acc_im0;
+            std::vector<double> a_mag(lane.size(), -1.0);
+            std::vector<double> b_mag(lane.size(), -1.0);
+            ref.gather_add(ref_term.data(), lane.data(), init, a_re.data(),
+                           a_im.data(), finish ? a_mag.data() : nullptr, n);
+            alt.gather_add(ref_term.data(), lane.data(), init, b_re.data(),
+                           b_im.data(), finish ? b_mag.data() : nullptr, n);
+            ASSERT_EQ(a_re, b_re) << "gather_add n=" << n << " init=" << init;
+            ASSERT_EQ(a_im, b_im) << "gather_add n=" << n << " init=" << init;
+            ASSERT_EQ(a_mag, b_mag) << "gather_add n=" << n << " init=" << init;
+          }
+        }
+      }
+    }
+    // The scalar reference itself: each lane's cubic times its rotor as an
+    // (re, im) pair, and the gather's start from zero, add and finish.
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double* c = table.data() + 8 * interval[l / kChunkLanes];
+      const double s = frac[l];
+      const double br = c[0] + s * (c[2] + s * (c[4] + s * c[6]));
+      const double bi = c[1] + s * (c[3] + s * (c[5] + s * c[7]));
+      ASSERT_EQ(ref_term[2 * l], br * base_re[l] - bi * base_im[l]);
+      ASSERT_EQ(ref_term[2 * l + 1], bi * base_re[l] + br * base_im[l]);
+    }
+    std::vector<double> a_re = acc_re0, a_im = acc_im0;
+    ref.gather_add(ref_term.data(), lane.data(), false, a_re.data(),
+                   a_im.data(), nullptr, lane.size());
+    std::vector<double> mag(lane.size());
+    std::vector<double> m_re = acc_re0, m_im = acc_im0;
+    ref.gather_add(ref_term.data(), lane.data(), false, m_re.data(),
+                   m_im.data(), mag.data(), lane.size());
+    EXPECT_EQ(m_re, acc_re0);  // finishing leaves the accumulators alone
+    EXPECT_EQ(m_im, acc_im0);
+    for (std::size_t c = 0; c < lane.size(); ++c) {
+      ASSERT_EQ(a_re[c], acc_re0[c] + ref_term[2 * lane[c]]);
+      ASSERT_EQ(a_im[c], acc_im0[c] + ref_term[2 * lane[c] + 1]);
+      ASSERT_EQ(mag[c], std::sqrt(a_re[c] * a_re[c] + a_im[c] * a_im[c]));
     }
   }
 }

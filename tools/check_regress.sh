@@ -2,7 +2,9 @@
 # Local mirror of the CI "regress" job: build bench_perf, then gate fresh
 # measurements against every committed BENCH_*.json baseline that
 # --mode=regress knows how to re-measure (kernel speedup, figure accuracy,
-# observability overhead).
+# observability overhead). BENCH_pr21.json records its dispatched ISA: its
+# ns per (cell, antenna) gate runs under --regress-abs on a machine that
+# dispatches the same ISA and prints "skipped (isa)" elsewhere.
 #
 # Usage: tools/check_regress.sh [build-dir] [extra bench_perf flags...]
 #   tools/check_regress.sh                 # build/ with default tolerance
@@ -19,4 +21,5 @@ cmake --build "$BUILD_DIR" -j --target bench_perf
 exec "./$BUILD_DIR/bench/bench_perf" --mode=regress \
   --baseline=BENCH_pr2.json \
   --baseline=BENCH_fig9.json \
+  --baseline=BENCH_pr21.json \
   --regress-tol=35 "$@"
