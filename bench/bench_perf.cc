@@ -738,10 +738,8 @@ struct SoakResult {
 };
 
 /// Interval-local latency quantile between two registry snapshots
-/// (obs::Snapshot::Capture() around the measured passes). This used to be
-/// a hand-rolled bucket subtraction here; obs/snapshot.h is that exact
-/// primitive promoted to the library. Under BLOC_OBS_OFF the snapshots
-/// are empty and every quantile reads 0.
+/// (obs::Snapshot::Capture() around the measured passes); a histogram
+/// absent from the interval reads 0.
 double IntervalQuantile(const obs::Delta& delta, std::string_view name,
                         double q) {
   const obs::HistogramDelta* hist = delta.FindHistogram(name);

@@ -184,11 +184,14 @@ class SteeringPlanCache {
   /// Number of plans built so far (distinct keys seen, plus rebuilds of
   /// evicted keys). The amortization tests assert this stops growing after
   /// the first round.
-  /// Deprecated: thin wrapper over per-instance state kept for existing
-  /// callers; new code should read the `bloc.steering_plan_cache.*`
-  /// registry counters (obs/metrics.h) instead.
+  /// Exact per-instance count, read under the cache mutex; the
+  /// `bloc.steering_plan_cache.*` registry counters (obs/metrics.h) are
+  /// relaxed process-wide sums over every cache instance.
   std::size_t builds() const;
-  /// Total lookups (hits + builds). Deprecated: see builds().
+  /// Total lookups (hits + builds), exact per instance like builds(). A
+  /// lookup's count and its in-progress entry are published under the
+  /// same lock, so a thread may synchronize on this value to know a build
+  /// is registered; a relaxed registry counter cannot order that.
   std::size_t lookups() const;
 
   /// Plans evicted by the LRU bounds so far (also published as the

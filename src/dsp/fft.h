@@ -71,11 +71,11 @@ class FftPlanCache {
 
   /// Number of plans built (== distinct sizes seen). The amortization tests
   /// assert this stops growing after warm-up.
-  /// Deprecated: thin wrapper over per-instance state kept for existing
-  /// callers; new code should read the `dsp.fft_plan_cache.*` registry
-  /// counters (obs/metrics.h) instead.
+  /// Exact per-instance count, read under the cache mutex; the
+  /// `dsp.fft_plan_cache.*` registry counters (obs/metrics.h) are relaxed
+  /// process-wide sums over every cache instance.
   std::size_t builds() const;
-  /// Total lookups (hits + builds). Deprecated: see builds().
+  /// Total lookups (hits + builds), exact per instance like builds().
   std::size_t lookups() const;
 
  private:

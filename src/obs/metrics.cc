@@ -15,8 +15,6 @@ std::uint64_t NowNs() noexcept {
           .count());
 }
 
-#if !defined(BLOC_OBS_OFF)
-
 namespace {
 std::atomic<bool> g_metrics_enabled{true};
 }  // namespace
@@ -178,14 +176,5 @@ void MetricsRegistry::VisitHistograms(
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& h : histograms_) fn(*h);
 }
-
-#else  // BLOC_OBS_OFF
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-#endif  // BLOC_OBS_OFF
 
 }  // namespace bloc::obs

@@ -9,9 +9,8 @@
 //  - Handles are stable forever: GetCounter/GetGauge/GetHistogram return a
 //    reference that never moves or dies, so callers resolve a metric once
 //    (constructor or static) and increment through the pointer afterwards.
-//  - Everything compiles to a no-op when the build disables observability
-//    (cmake -DBLOC_OBS=OFF defines BLOC_OBS_OFF), and recording is also
-//    runtime-gated by one relaxed atomic load (SetMetricsEnabled).
+//  - Recording is runtime-gated by one relaxed atomic load
+//    (SetMetricsEnabled).
 //
 // Naming convention: `subsystem.object.event`, lower_snake within segments,
 // a unit suffix (`_us`, `_bytes`) on histograms/gauges that carry one.
@@ -31,8 +30,6 @@ namespace bloc::obs {
 /// Nanoseconds on the steady clock since the first call in this process —
 /// the shared timebase of ScopedTimer and the trace spans.
 std::uint64_t NowNs() noexcept;
-
-#if !defined(BLOC_OBS_OFF)
 
 /// Master runtime switch for metric recording (one relaxed load per
 /// record). Defaults to on; tracing has its own switch in obs/trace.h.
@@ -301,120 +298,5 @@ inline UpDownGauge& GetUpDownGauge(std::string_view name) {
 inline Histogram& GetHistogram(std::string_view name) {
   return MetricsRegistry::Global().GetHistogram(name);
 }
-
-#else  // BLOC_OBS_OFF: same API, every operation a no-op.
-
-inline bool MetricsEnabled() noexcept { return false; }
-inline void SetMetricsEnabled(bool) noexcept {}
-
-class Counter {
- public:
-  void Inc(std::uint64_t = 1) noexcept {}
-  std::uint64_t Value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(std::int64_t) noexcept {}
-  void Add(std::int64_t) noexcept {}
-  void Sub(std::int64_t) noexcept {}
-  std::int64_t Value() const noexcept { return 0; }
-  std::int64_t Max() const noexcept { return 0; }
-};
-
-class UpDownGauge {
- public:
-  void Add(std::int64_t) noexcept {}
-  void Sub(std::int64_t) noexcept {}
-  std::int64_t Value() const noexcept { return 0; }
-  std::int64_t Max() const noexcept { return 0; }
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 64;
-  void Record(std::uint64_t) noexcept {}
-  std::uint64_t Count() const noexcept { return 0; }
-  std::uint64_t Sum() const noexcept { return 0; }
-  std::uint64_t MaxValue() const noexcept { return 0; }
-  std::uint64_t BucketCount(std::size_t) const noexcept { return 0; }
-  double Quantile(double) const noexcept { return 0.0; }
-  static std::uint64_t BucketLowerBound(std::size_t i) noexcept {
-    return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
-  }
-  static std::uint64_t BucketUpperBound(std::size_t i) noexcept {
-    if (i == 0) return 0;
-    if (i >= kBuckets - 1) return ~std::uint64_t{0};
-    return (std::uint64_t{1} << i) - 1;
-  }
-  static std::size_t BucketIndex(std::uint64_t value) noexcept {
-    std::size_t i = 0;
-    while (value != 0) {
-      ++i;
-      value >>= 1;
-    }
-    return i < kBuckets ? i : kBuckets - 1;
-  }
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram&) noexcept {}
-};
-
-struct CounterSnapshot {
-  std::string name;
-  std::uint64_t value = 0;
-};
-struct GaugeSnapshot {
-  std::string name;
-  std::int64_t value = 0;
-  std::int64_t max = 0;
-};
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t max = 0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-struct MetricsSnapshot {
-  std::vector<CounterSnapshot> counters;
-  std::vector<GaugeSnapshot> gauges;
-  std::vector<HistogramSnapshot> histograms;
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global();
-  Counter& GetCounter(std::string_view) { return counter_; }
-  Gauge& GetGauge(std::string_view) { return gauge_; }
-  UpDownGauge& GetUpDownGauge(std::string_view) { return updown_gauge_; }
-  Histogram& GetHistogram(std::string_view) { return histogram_; }
-  MetricsSnapshot Snapshot() const { return {}; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  UpDownGauge updown_gauge_;
-  Histogram histogram_;
-};
-
-inline Counter& GetCounter(std::string_view name) {
-  return MetricsRegistry::Global().GetCounter(name);
-}
-inline Gauge& GetGauge(std::string_view name) {
-  return MetricsRegistry::Global().GetGauge(name);
-}
-inline UpDownGauge& GetUpDownGauge(std::string_view name) {
-  return MetricsRegistry::Global().GetUpDownGauge(name);
-}
-inline Histogram& GetHistogram(std::string_view name) {
-  return MetricsRegistry::Global().GetHistogram(name);
-}
-
-#endif  // BLOC_OBS_OFF
 
 }  // namespace bloc::obs

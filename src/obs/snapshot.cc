@@ -60,7 +60,6 @@ double HistogramDelta::Quantile(double q) const noexcept {
 Snapshot Snapshot::Capture() {
   Snapshot snap;
   snap.captured_ns = NowNs();
-#if !defined(BLOC_OBS_OFF)
   const MetricsRegistry& reg = MetricsRegistry::Global();
   reg.VisitCounters([&snap](const Counter& c) {
     snap.counters.push_back({c.name(), c.Value()});
@@ -88,7 +87,6 @@ Snapshot Snapshot::Capture() {
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
-#endif
   return snap;
 }
 

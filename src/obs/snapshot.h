@@ -8,9 +8,8 @@
 // subtracts two snapshots and answers interval-local rates and quantiles.
 // This is the primitive the soak bench previously hand-rolled.
 //
-// Snapshot/Delta are plain data (no atomics), so they exist unconditionally;
-// only Snapshot::Capture() touches the registry and compiles to an empty
-// snapshot under BLOC_OBS_OFF.
+// Snapshot/Delta are plain data (no atomics); only Snapshot::Capture()
+// touches the registry.
 #pragma once
 
 #include <array>

@@ -11,8 +11,6 @@
 
 namespace bloc::obs {
 
-#if !defined(BLOC_OBS_OFF)
-
 namespace {
 
 /// JSON string escape for names/categories (ours are plain literals, but
@@ -199,23 +197,5 @@ bool WriteChromeTraceFile(const std::string& path) {
   }
   return true;
 }
-
-#else  // BLOC_OBS_OFF
-
-void WriteChromeTrace(std::ostream& os) {
-  os << "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-bool WriteChromeTraceFile(const std::string& path) {
-  std::ofstream out(path);
-  if (out) WriteChromeTrace(out);
-  if (!out) {
-    std::cerr << "obs: cannot write trace to " << path << "\n";
-    return false;
-  }
-  return true;
-}
-
-#endif  // BLOC_OBS_OFF
 
 }  // namespace bloc::obs

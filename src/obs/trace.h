@@ -19,8 +19,6 @@
 
 namespace bloc::obs {
 
-#if !defined(BLOC_OBS_OFF)
-
 /// Runtime switch, off by default; benches enable it for --trace runs.
 bool TracingEnabled() noexcept;
 void SetTracingEnabled(bool on) noexcept;
@@ -83,34 +81,5 @@ std::uint64_t TraceDroppedEvents();
 void WriteChromeTrace(std::ostream& os);
 /// File variant; returns false (after logging to stderr) on I/O failure.
 bool WriteChromeTraceFile(const std::string& path);
-
-#else  // BLOC_OBS_OFF
-
-inline bool TracingEnabled() noexcept { return false; }
-inline void SetTracingEnabled(bool) noexcept {}
-
-struct TraceEvent {
-  const char* name = nullptr;
-  const char* cat = nullptr;
-  std::uint64_t start_ns = 0;
-  std::uint64_t dur_ns = 0;
-  std::uint64_t arg = 0;
-  std::uint32_t tid = 0;
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*, const char* = "bloc",
-                     std::uint64_t = 0) noexcept {}
-  void End() noexcept {}
-};
-
-inline std::vector<TraceEvent> SnapshotTrace() { return {}; }
-inline void ClearTrace() {}
-inline std::uint64_t TraceDroppedEvents() { return 0; }
-void WriteChromeTrace(std::ostream& os);  // emits an empty trace
-bool WriteChromeTraceFile(const std::string& path);
-
-#endif  // BLOC_OBS_OFF
 
 }  // namespace bloc::obs

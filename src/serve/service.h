@@ -14,7 +14,7 @@
 //  - Per-tag FIFO: frames from one producer assemble in send order, and
 //    position updates for one tag are delivered in round order.
 //  - Positions are bit-identical to driving the same rounds through the
-//    serial Localizer / StreamExperiment path (the service adds no math).
+//    serial Localizer / EvaluateBloc path (the service adds no math).
 //  - Bounded memory: rings are fixed-capacity, round assembly is bounded by
 //    max_assembling_rounds x shed policy, engine admission is bounded by
 //    max_inflight_locates (saturation stalls the assembler, which fills the

@@ -385,11 +385,9 @@ Dataset DatasetStore::GetOrGenerate(const ScenarioConfig& config,
     obs::GetCounter("sim.dataset_store.stale").Inc();
   }
   DatasetWriter writer(fingerprint);
-  StreamSinks sinks;
-  sinks.writer = &writer;
-  StreamedExperiment streamed = StreamExperiment(config, options, sinks);
+  Dataset dataset = GenerateDataset(config, options, &writer);
   WriteFileAtomic(path, writer.Finish());
-  return std::move(streamed.dataset);
+  return dataset;
 }
 
 }  // namespace bloc::sim

@@ -54,10 +54,10 @@ inline constexpr std::size_t kDatasetHeaderBytes = 4 + 2 + 8 + 8 + 8;
 std::uint64_t Fingerprint(const ScenarioConfig& config,
                           const DatasetOptions& options);
 
-/// Incremental dataset serializer for the streaming pipeline: rounds are
-/// appended as the simulator produces them, with no full-dataset barrier.
-/// Call Begin once (StreamExperiment does this when a writer is attached),
-/// Append per round, then Finish to obtain the complete file image.
+/// Incremental dataset serializer: rounds are appended as the simulator
+/// produces them, with no full-dataset barrier. Call Begin once
+/// (GenerateDataset does this when given a writer), Append per round, then
+/// Finish to obtain the complete file image.
 class DatasetWriter {
  public:
   explicit DatasetWriter(std::uint64_t fingerprint);
@@ -107,17 +107,16 @@ class DatasetStore {
   explicit DatasetStore(std::filesystem::path directory);
 
   /// Returns the cached dataset for Fingerprint(config, options), or
-  /// generates it through the streaming pipeline (serializing as rounds are
-  /// produced) and persists it. Corrupt or fingerprint-mismatched cache
-  /// files are treated as misses and regenerated, never served.
+  /// generates it with GenerateDataset (serializing as rounds are produced)
+  /// and persists it. Corrupt or fingerprint-mismatched cache files are
+  /// treated as misses and regenerated, never served.
   Dataset GetOrGenerate(const ScenarioConfig& config,
                         const DatasetOptions& options);
 
   std::filesystem::path PathFor(std::uint64_t fingerprint) const;
   const std::filesystem::path& directory() const { return dir_; }
-  /// Deprecated: thin wrappers over per-instance state kept for existing
-  /// callers; new code should read the `sim.dataset_store.*` registry
-  /// counters (obs/metrics.h) instead.
+  /// Exact per-instance counts; the `sim.dataset_store.*` registry
+  /// counters (obs/metrics.h) are process-wide sums over every store.
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
   /// Misses caused by an existing-but-unusable cache entry (corrupt,

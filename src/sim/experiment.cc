@@ -1,7 +1,5 @@
 #include "sim/experiment.h"
 
-#include <future>
-#include <optional>
 #include <stdexcept>
 
 #include "eval/metrics.h"
@@ -14,7 +12,7 @@ namespace bloc::sim {
 
 namespace {
 
-/// The receiving end of StreamExperiment's transport: keeps every decoded
+/// The receiving end of GenerateDataset's transport: keeps every decoded
 /// report in arrival order.
 struct ReportRecorder : net::MessageSink {
   std::vector<anchor::CsiReport> reports;
@@ -39,9 +37,8 @@ dsp::GridSpec RoomGrid(const ScenarioConfig& config, double resolution,
   return spec;
 }
 
-StreamedExperiment StreamExperiment(const ScenarioConfig& config,
-                                    const DatasetOptions& options,
-                                    const StreamSinks& sinks) {
+Dataset GenerateDataset(const ScenarioConfig& config,
+                        const DatasetOptions& options, DatasetWriter* writer) {
   obs::TraceSpan setup_span("sim.stream.setup", "sim");
   Testbed testbed(config);
   MeasurementSimulator sim(testbed, options.measurement_threads);
@@ -53,36 +50,19 @@ StreamedExperiment StreamExperiment(const ScenarioConfig& config,
   ReportRecorder recorder;
   net::InProcTransport transport(recorder);
 
-  StreamedExperiment out;
-  Dataset& dataset = out.dataset;
+  Dataset dataset;
   dataset.deployment = testbed.deployment();
   dataset.room_grid = RoomGrid(config, options.grid_resolution);
-  if (sinks.writer != nullptr) {
-    sinks.writer->Begin(dataset.deployment, dataset.room_grid);
-  }
-
-  std::optional<core::LocalizationEngine> engine;
-  std::vector<core::LocationResult> results;
-  std::vector<std::future<void>> pending;
-  if (sinks.evaluate != nullptr) {
-    engine.emplace(dataset.deployment, *sinks.evaluate,
-                   core::EngineOptions{.threads = sinks.eval_threads});
-  }
+  if (writer != nullptr) writer->Begin(dataset.deployment, dataset.room_grid);
 
   // Each round re-solves the tag's channel at the trajectory's current
   // pose; kStatic reproduces the historical independent-position sampling
   // bit for bit (sim/motion.h).
   const std::vector<TimedPose> trajectory = SampleTrajectory(
       testbed, config.motion, options.locations, options.position_seed);
-  // In-flight LocateAsync tasks hold references into these vectors, so
-  // reserve up front: push_back must never reallocate under them.
   dataset.rounds.reserve(trajectory.size());
   dataset.truths.reserve(trajectory.size());
   dataset.timestamps.reserve(trajectory.size());
-  if (engine) {
-    results.resize(trajectory.size());
-    pending.reserve(trajectory.size());
-  }
 
   setup_span.End();
   for (std::size_t i = 0; i < trajectory.size(); ++i) {
@@ -93,37 +73,20 @@ StreamedExperiment StreamExperiment(const ScenarioConfig& config,
       transport.Send(net::CsiReportMsg{report});
     }
     if (recorder.reports.size() != produced.reports.size()) {
-      throw std::runtime_error("StreamExperiment: round did not complete");
+      throw std::runtime_error("GenerateDataset: round did not complete");
     }
     dataset.rounds.push_back(
         net::MeasurementRound{i, std::move(recorder.reports)});
     recorder.reports.clear();
     dataset.truths.push_back(vicon.Measure(trajectory[i].position));
     dataset.timestamps.push_back(trajectory[i].t_s);
-    const net::MeasurementRound& recorded = dataset.rounds.back();
-    if (sinks.writer != nullptr) {
-      sinks.writer->Append(trajectory[i].t_s, dataset.truths.back(),
-                           recorded);
+    if (writer != nullptr) {
+      writer->Append(trajectory[i].t_s, dataset.truths.back(),
+                     dataset.rounds.back());
     }
-    if (engine) pending.push_back(engine->LocateAsync(recorded, results[i]));
     if (options.progress) options.progress(i + 1, trajectory.size());
   }
-
-  if (engine) {
-    obs::TraceSpan drain_span("sim.stream.drain", "sim", pending.size());
-    for (std::future<void>& f : pending) f.get();
-    out.bloc_errors.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      out.bloc_errors.push_back(
-          eval::LocalizationError(results[i].position, dataset.truths[i]));
-    }
-  }
-  return out;
-}
-
-Dataset GenerateDataset(const ScenarioConfig& config,
-                        const DatasetOptions& options) {
-  return StreamExperiment(config, options).dataset;
+  return dataset;
 }
 
 std::vector<double> EvaluateBloc(const Dataset& dataset,
@@ -168,28 +131,14 @@ std::vector<double> EvaluateRssi(const Dataset& dataset,
   return errors;
 }
 
-namespace {
-
-core::LocalizerConfig PaperLocalizerConfigForGrid(const dsp::GridSpec& grid) {
+core::LocalizerConfig PaperLocalizerConfig(const Dataset& dataset) {
   core::LocalizerConfig config;
-  config.grid = grid;
+  config.grid = dataset.room_grid;
   config.scoring.a = 0.1;                     // paper §7
   config.scoring.b = 0.05;                    // paper §7
   config.scoring.entropy_window_radius = 3;   // 7x7 circular window
   config.scoring.mode = core::SelectionMode::kBlocScore;
   return config;
-}
-
-}  // namespace
-
-core::LocalizerConfig PaperLocalizerConfig(const Dataset& dataset) {
-  return PaperLocalizerConfigForGrid(dataset.room_grid);
-}
-
-core::LocalizerConfig PaperLocalizerConfig(const ScenarioConfig& config,
-                                           const DatasetOptions& options) {
-  return PaperLocalizerConfigForGrid(
-      RoomGrid(config, options.grid_resolution));
 }
 
 }  // namespace bloc::sim

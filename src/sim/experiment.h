@@ -52,48 +52,16 @@ struct DatasetOptions {
 
 class DatasetWriter;  // sim/dataset_io.h
 
-/// Per-round consumers of the streaming experiment pipeline. Both sinks are
-/// fed as each round completes collection, so serialization and evaluation
-/// overlap with the synthesis of later rounds.
-struct StreamSinks {
-  /// When set, every collected round is handed to a LocalizationEngine and
-  /// localized asynchronously on its pool while the simulator produces the
-  /// next round; the per-round errors come back in StreamedExperiment.
-  /// Bit-identical to EvaluateBloc over the finished dataset.
-  const core::LocalizerConfig* evaluate = nullptr;
-  /// Engine worker threads when `evaluate` is set (0 = all hardware
-  /// threads; 1 localizes inline between rounds).
-  std::size_t eval_threads = 1;
-  /// When set, every collected round is serialized into the writer as it
-  /// streams past (the writer's Begin is called once the deployment is
-  /// calibrated; see sim/dataset_io.h).
-  DatasetWriter* writer = nullptr;
-};
-
-struct StreamedExperiment {
-  Dataset dataset;
-  /// BLoc localization errors (metres) per round; empty unless
-  /// StreamSinks::evaluate was set.
-  std::vector<double> bloc_errors;
-};
-
-/// The streaming experiment pipeline: runs `options.locations` measurement
-/// rounds on a fresh testbed built from `config`, shipping each round's
-/// reports through EncodeFrame/TCP-style framing and recording what is
-/// decoded, then fanning the recorded round out to the sinks without a
-/// full-dataset barrier. Rounds are produced in index order and the output is
-/// bit-identical for every thread count (fixed-order rules from the
-/// measurement simulator and engine).
-StreamedExperiment StreamExperiment(const ScenarioConfig& config,
-                                    const DatasetOptions& options,
-                                    const StreamSinks& sinks = {});
-
 /// Runs `options.locations` measurement rounds on a fresh testbed built
 /// from `config`. Each round's reports travel through EncodeFrame/TCP-style
-/// framing and are recorded as decoded. Equivalent to StreamExperiment
-/// with no sinks.
+/// framing and are recorded as decoded. Rounds are produced in index order
+/// and the output is bit-identical for every thread count. When `writer`
+/// is given, its Begin is called once the deployment is calibrated and
+/// every recorded round is appended to it as it is produced, with no
+/// full-dataset barrier (see sim/dataset_io.h).
 Dataset GenerateDataset(const ScenarioConfig& config,
-                        const DatasetOptions& options);
+                        const DatasetOptions& options,
+                        DatasetWriter* writer = nullptr);
 
 /// Localization errors (metres) of the BLoc pipeline over the dataset.
 /// Rounds are processed by a LocalizationEngine batch with `threads`
@@ -118,10 +86,5 @@ dsp::GridSpec RoomGrid(const ScenarioConfig& config, double resolution = 0.075,
 /// LocalizerConfig preset matching the paper's parameters (§7) for a
 /// dataset's room grid.
 core::LocalizerConfig PaperLocalizerConfig(const Dataset& dataset);
-
-/// Same preset from the scenario and options alone — the grid is known
-/// before any dataset exists, which the streaming pipeline needs.
-core::LocalizerConfig PaperLocalizerConfig(const ScenarioConfig& config,
-                                           const DatasetOptions& options);
 
 }  // namespace bloc::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dsp/complex_ops.h"
+#include "obs/metrics.h"
 
 namespace bloc::dsp {
 namespace {
@@ -183,6 +184,10 @@ TEST(FftPlan, RejectsSizeMismatch) {
 }
 
 TEST(FftPlanCache, BuildsEachSizeOnce) {
+  obs::Counter& builds = obs::GetCounter("dsp.fft_plan_cache.builds");
+  obs::Counter& lookups = obs::GetCounter("dsp.fft_plan_cache.lookups");
+  const std::uint64_t builds0 = builds.Value();
+  const std::uint64_t lookups0 = lookups.Value();
   FftPlanCache cache;
   const auto a = cache.GetOrBuild(256);
   const auto b = cache.GetOrBuild(1024);
@@ -191,6 +196,9 @@ TEST(FftPlanCache, BuildsEachSizeOnce) {
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(cache.lookups(), 3u);
+  // The registry counters count the same events process-wide.
+  EXPECT_EQ(builds.Value() - builds0, cache.builds());
+  EXPECT_EQ(lookups.Value() - lookups0, cache.lookups());
 }
 
 TEST(ApplyTransferFunctionPlanned, MatchesLegacyCallbackVariant) {

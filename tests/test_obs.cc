@@ -195,8 +195,6 @@ TEST(JsonParser, AcceptsAndRejects) {
   EXPECT_FALSE(JsonParser(R"({"a": })").Parse(node));
 }
 
-#if !defined(BLOC_OBS_OFF)
-
 // ---------------------------------------------------------------------------
 // Histogram bucket math.
 
@@ -475,22 +473,6 @@ TEST(Report, TableListsMetrics) {
   RunReport::Capture().PrintTable(os);
   EXPECT_NE(os.str().find("test.table.counter"), std::string::npos);
 }
-
-#else  // BLOC_OBS_OFF
-
-TEST(ObsDisabled, ApiIsInertButPresent) {
-  Counter& c = GetCounter("test.off.counter");
-  c.Inc(10);
-  EXPECT_EQ(c.Value(), 0u);
-  { TraceSpan span("test.off.span", "test"); }
-  EXPECT_TRUE(SnapshotTrace().empty());
-  std::ostringstream os;
-  RunReport::Capture().WriteJson(os);
-  JsonNode root;
-  EXPECT_TRUE(JsonParser(os.str()).Parse(root));
-}
-
-#endif  // BLOC_OBS_OFF
 
 }  // namespace
 }  // namespace bloc::obs

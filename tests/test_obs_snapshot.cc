@@ -19,8 +19,6 @@
 namespace bloc::obs {
 namespace {
 
-#if !defined(BLOC_OBS_OFF)
-
 // ---------------------------------------------------------------------------
 // UpDownGauge
 
@@ -310,22 +308,6 @@ TEST(Prometheus, GaugesEmitValueAndWatermark) {
   EXPECT_NE(text.find("bloc_test_snapshot_prom_gauge_max 9"),
             std::string::npos);
 }
-
-#else  // BLOC_OBS_OFF
-
-TEST(SnapshotStub, CaptureIsEmptyAndDeltaIsZero) {
-  GetCounter("test.snapshot.stub.counter").Inc(5);
-  GetUpDownGauge("test.snapshot.stub.updown").Add(2);
-  const Snapshot snap = Snapshot::Capture();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.gauges.empty());
-  EXPECT_TRUE(snap.histograms.empty());
-  const Delta delta = Delta::Between(snap, Snapshot::Capture());
-  EXPECT_TRUE(delta.counters.empty());
-  EXPECT_EQ(delta.FindHistogram("test.snapshot.stub.counter"), nullptr);
-}
-
-#endif  // BLOC_OBS_OFF
 
 }  // namespace
 }  // namespace bloc::obs

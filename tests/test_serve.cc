@@ -103,8 +103,8 @@ const sim::Dataset& Rounds() {
 
 core::LocalizerConfig Config() { return sim::PaperLocalizerConfig(Rounds()); }
 
-/// Serial-path reference positions (LocateBatch is tested bit-identical to
-/// Localizer::Locate, the StreamExperiment evaluation path).
+/// Serial-path reference positions (LocateBatch, the EvaluateBloc path, is
+/// tested bit-identical to Localizer::Locate).
 const std::vector<core::LocationResult>& Reference() {
   static const std::vector<core::LocationResult> results = [] {
     core::LocalizationEngine engine(Rounds().deployment, Config(),

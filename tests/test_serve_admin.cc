@@ -232,15 +232,11 @@ TEST(AdminServer, MetricsExpositionIsCleanLineProtocol) {
           << sample.name;
     }
   }
-#if !defined(BLOC_OBS_OFF)
   const PromSample* marker =
       FindSample(samples, "bloc_test_admin_metrics_marker");
   ASSERT_NE(marker, nullptr);
   EXPECT_GE(marker->value, 11.0);
-#endif
 }
-
-#if !defined(BLOC_OBS_OFF)
 
 TEST(AdminServer, MetricsHistogramBucketsCumulativeWithCountTerminal) {
   obs::Histogram& hist = obs::GetHistogram("test.admin.metrics.hist");
@@ -292,8 +288,6 @@ TEST(AdminServer, CountersNonDecreasingAcrossScrapes) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->value, a->value + 5.0);
 }
-
-#endif  // !BLOC_OBS_OFF
 
 // ---------------------------------------------------------------------------
 // AdminServer against a live LocalizationService

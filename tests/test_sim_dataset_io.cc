@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/dataset_io.h"
 #include "sim/experiment.h"
 
@@ -452,6 +453,12 @@ TEST(DatasetStore, CorruptCacheEntryIsRegeneratedNotServed) {
   TempDir dir("store-corrupt");
   const ScenarioConfig scenario = PaperTestbed(9);
   const DatasetOptions options = SmallOptions();
+  obs::Counter& hits = obs::GetCounter("sim.dataset_store.hits");
+  obs::Counter& misses = obs::GetCounter("sim.dataset_store.misses");
+  obs::Counter& stale = obs::GetCounter("sim.dataset_store.stale");
+  const std::uint64_t hits0 = hits.Value();
+  const std::uint64_t misses0 = misses.Value();
+  const std::uint64_t stale0 = stale.Value();
   DatasetStore store(dir.path());
   const Dataset cold = store.GetOrGenerate(scenario, options);
 
@@ -469,11 +476,16 @@ TEST(DatasetStore, CorruptCacheEntryIsRegeneratedNotServed) {
 
   const Dataset regenerated = store.GetOrGenerate(scenario, options);
   EXPECT_EQ(store.misses(), 2u);  // corrupt entry counted as a miss
+  EXPECT_EQ(store.stale(), 1u);
   EXPECT_EQ(store.hits(), 0u);
   ExpectDatasetsBitIdentical(cold, regenerated);
   // And the regenerated entry is healthy again.
   store.GetOrGenerate(scenario, options);
   EXPECT_EQ(store.hits(), 1u);
+  // The registry counters count the same events process-wide.
+  EXPECT_EQ(hits.Value() - hits0, store.hits());
+  EXPECT_EQ(misses.Value() - misses0, store.misses());
+  EXPECT_EQ(stale.Value() - stale0, store.stale());
 }
 
 TEST(DatasetStore, ForeignFingerprintInFileIsTreatedAsMiss) {
@@ -504,28 +516,8 @@ TEST(DatasetStore, PathEncodesFormatVersionAndFingerprint) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming pipeline parity
+// Streaming writer: rounds serialized as GenerateDataset produces them
 // ---------------------------------------------------------------------------
-
-TEST(StreamExperiment, MatchesGenerateThenEvaluate) {
-  const ScenarioConfig scenario = PaperTestbed(9);
-  const DatasetOptions options = SmallOptions();
-
-  const Dataset reference = GenerateDataset(scenario, options);
-  const core::LocalizerConfig config =
-      PaperLocalizerConfig(scenario, options);
-  const std::vector<double> reference_errors =
-      EvaluateBloc(reference, config, 1);
-
-  StreamSinks sinks;
-  sinks.evaluate = &config;
-  sinks.eval_threads = 2;
-  const StreamedExperiment streamed =
-      StreamExperiment(scenario, options, sinks);
-
-  ExpectDatasetsBitIdentical(reference, streamed.dataset);
-  EXPECT_EQ(streamed.bloc_errors, reference_errors);
-}
 
 TEST(StreamExperiment, WriterSinkMatchesOneShotEncode) {
   const ScenarioConfig scenario = PaperTestbed(9);
@@ -533,13 +525,10 @@ TEST(StreamExperiment, WriterSinkMatchesOneShotEncode) {
   const std::uint64_t fp = Fingerprint(scenario, options);
 
   DatasetWriter writer(fp);
-  StreamSinks sinks;
-  sinks.writer = &writer;
-  const StreamedExperiment streamed =
-      StreamExperiment(scenario, options, sinks);
+  const Dataset dataset = GenerateDataset(scenario, options, &writer);
   const net::Buffer streamed_bytes = writer.Finish();
 
-  EXPECT_EQ(streamed_bytes, EncodeDataset(streamed.dataset, fp));
+  EXPECT_EQ(streamed_bytes, EncodeDataset(dataset, fp));
 }
 
 TEST(StreamExperiment, WriterMisuseThrows) {

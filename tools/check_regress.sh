@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Local mirror of the CI "regress" job: build bench_perf, then gate fresh
-# measurements against every committed BENCH_*.json baseline that
-# --mode=regress knows how to re-measure (kernel speedup, figure accuracy,
-# observability overhead). BENCH_pr21.json records its dispatched ISA: its
-# ns per (cell, antenna) gate runs under --regress-abs on a machine that
-# dispatches the same ISA and prints "skipped (isa)" elsewhere.
+# The perf regression gate, run as-is by the CI "regress" job and locally:
+# build bench_perf, then gate fresh measurements against every committed
+# BENCH_*.json baseline that --mode=regress knows how to re-measure (kernel
+# speedup, figure accuracy, observability overhead). This is the one list
+# of baselines. BENCH_pr21.json records its dispatched ISA: its ns per
+# (cell, antenna) gate runs under --regress-abs on a machine that
+# dispatches the same ISA and logs as skipped otherwise.
 #
 # Usage: tools/check_regress.sh [build-dir] [extra bench_perf flags...]
 #   tools/check_regress.sh                 # build/ with default tolerance
