@@ -1,163 +1,261 @@
-// Explicit scalar / AVX2 / AVX-512 variants of the comb walk and of the
-// two plan-chunk kernels.
+// The comb walk and the two plan-chunk kernels, each written once as a
+// template over the vector width W and instantiated per ISA: the baseline
+// target with W = 2 (SSE2 on x86-64), AVX2 with W = 4 and AVX-512F with
+// W = 8.
 //
 // The walk evaluates, per element c and comb step k:
 //   acc[c] += comb[k] * cur[c]  (complex MAC, split re/im; skipped on gaps)
 //   cur[c] *= step[c]           (complex rotate; skipped on the last step)
 // The chunk kernel evaluates one Horner cubic and one complex multiply per
 // lane, and the gather kernel one add per (re, im) component (and, on a
-// map's last antenna, the magnitude sqrt(re * re + im * im)). Every vector
-// variant keeps the exact expression shapes of the scalar reference below —
-// separate multiplies and adds, never an FMA — so the results are bit-
-// identical across ISAs and across lane/tail splits. This file is compiled
-// with -ffp-contract=off (src/dsp/CMakeLists.txt) to keep the compiler from
+// map's last antenna, the magnitude sqrt(re * re + im * im)). The GCC/Clang
+// vector extensions apply each operator lane by lane with IEEE semantics,
+// so every width evaluates the same expression per element — separate
+// multiplies and adds, never an FMA — and the results are bit-identical
+// across ISAs and across lane/tail splits. This file is compiled with
+// -ffp-contract=off (src/dsp/CMakeLists.txt) to keep the compiler from
 // fusing those multiply-adds behind our back.
+//
+// The templates are force-inlined into thin per-ISA entry points with
+// internal linkage, so each instantiation is compiled for its entry point's
+// target. (Building this file once per -m flag instead would let the linker
+// merge inline functions across ISAs, and an AVX-512 copy could then run on
+// a CPU without it.)
 
 #include "dsp/simd_dispatch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define BLOC_SIMD_X86 1
-#include <immintrin.h>
 #endif
 
 namespace bloc::dsp::simd {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar reference (also the tail loop of the vector variants).
+// W doubles. (GCC ignores vector_size on an alias template, so the type is
+// declared in a class template.)
+template <int W>
+struct VecOf {
+  typedef double Type __attribute__((vector_size(8 * W)));
+};
+template <int W>
+using Vec = typename VecOf<W>::Type;
 
-// Per cell: MAC unless the comb coefficient is zero, rotate unless it is
-// the final step, with cur/acc in registers for the whole walk.
-void WalkScalarOne(const double* comb, std::size_t steps, double r, double i,
-                   double sr, double si, double* out_re, double* out_im) {
-  double ar = 0.0;
-  double ai = 0.0;
-  for (std::size_t k = 0; k < steps; ++k) {
-    const double a_re = comb[2 * k];
-    const double a_im = comb[2 * k + 1];
-    if (a_re != 0.0 || a_im != 0.0) {
-      ar += a_re * r - a_im * i;
-      ai += a_re * i + a_im * r;
-    }
-    if (k + 1 != steps) {
-      const double pr = r;
-      const double pi = i;
-      r = pr * sr - pi * si;
-      i = pr * si + pi * sr;
-    }
-  }
-  *out_re = ar;
-  *out_im = ai;
-}
-
-void WalkScalar(const double* comb, std::size_t steps, const double* base_re,
-                const double* base_im, const double* step_re,
-                const double* step_im, double* acc_re, double* acc_im,
-                std::size_t n) {
-  // Four cells in flight: each cell's rotation is a serial multiply chain
-  // across steps, so interleaving independent chains buys ILP. The per-cell
-  // operation sequence is unchanged.
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    double r0 = base_re[c], i0 = base_im[c];
-    double r1 = base_re[c + 1], i1 = base_im[c + 1];
-    double r2 = base_re[c + 2], i2 = base_im[c + 2];
-    double r3 = base_re[c + 3], i3 = base_im[c + 3];
-    const double sr0 = step_re[c], si0 = step_im[c];
-    const double sr1 = step_re[c + 1], si1 = step_im[c + 1];
-    const double sr2 = step_re[c + 2], si2 = step_im[c + 2];
-    const double sr3 = step_re[c + 3], si3 = step_im[c + 3];
-    double ar0 = 0.0, ai0 = 0.0, ar1 = 0.0, ai1 = 0.0;
-    double ar2 = 0.0, ai2 = 0.0, ar3 = 0.0, ai3 = 0.0;
-    for (std::size_t k = 0; k < steps; ++k) {
-      const double a_re = comb[2 * k];
-      const double a_im = comb[2 * k + 1];
-      if (a_re != 0.0 || a_im != 0.0) {
-        ar0 += a_re * r0 - a_im * i0;
-        ai0 += a_re * i0 + a_im * r0;
-        ar1 += a_re * r1 - a_im * i1;
-        ai1 += a_re * i1 + a_im * r1;
-        ar2 += a_re * r2 - a_im * i2;
-        ai2 += a_re * i2 + a_im * r2;
-        ar3 += a_re * r3 - a_im * i3;
-        ai3 += a_re * i3 + a_im * r3;
-      }
-      if (k + 1 != steps) {
-        double p = r0;
-        r0 = p * sr0 - i0 * si0;
-        i0 = p * si0 + i0 * sr0;
-        p = r1;
-        r1 = p * sr1 - i1 * si1;
-        i1 = p * si1 + i1 * sr1;
-        p = r2;
-        r2 = p * sr2 - i2 * si2;
-        i2 = p * si2 + i2 * sr2;
-        p = r3;
-        r3 = p * sr3 - i3 * si3;
-        i3 = p * si3 + i3 * sr3;
-      }
-    }
-    acc_re[c] = ar0;
-    acc_im[c] = ai0;
-    acc_re[c + 1] = ar1;
-    acc_im[c + 1] = ai1;
-    acc_re[c + 2] = ar2;
-    acc_im[c + 2] = ai2;
-    acc_re[c + 3] = ar3;
-    acc_im[c + 3] = ai3;
-  }
-  for (; c < n; ++c) {
-    WalkScalarOne(comb, steps, base_re[c], base_im[c], step_re[c], step_im[c],
-                  acc_re + c, acc_im + c);
-  }
-}
-
-/// A complex value as an interleaved (re, im) lane pair. GCC/Clang lower
-/// the element-wise arithmetic to whatever vectors the target has (two
-/// scalar ops at worst), with per-lane IEEE semantics unchanged; the
-/// baseline x86-64 ISA runs it two-wide.
-typedef double Pair __attribute__((vector_size(16)));
-
-inline Pair LoadPair(const double* p) {
-  Pair v;
+template <int W>
+[[gnu::always_inline]] inline Vec<W> Load(const double* p) {
+  Vec<W> v;
   std::memcpy(&v, p, sizeof v);
   return v;
 }
 
-// One chunk: the cubic's coefficients are shared by its lanes, so they are
-// read once, as (re, im) pairs like the table stores them. Per component
-// this is the expression every variant evaluates: the rotor multiply's re
-// adds -(b_im * base_im), which is exactly b_re * base_re - b_im * base_im.
-void ChunkTermsScalar(const double* table, const std::uint32_t* interval,
-                      const double* frac, const double* base_re,
-                      const double* base_im, double* term,
-                      std::size_t chunks) {
-  const Pair sign = {-1.0, 1.0};
-  for (std::size_t k = 0; k < chunks; ++k) {
-    const double* c = table + 8 * std::size_t{interval[k]};
-    const Pair c0 = LoadPair(c);
-    const Pair c1 = LoadPair(c + 2);
-    const Pair c2 = LoadPair(c + 4);
-    const Pair c3 = LoadPair(c + 6);
-    for (std::size_t l = kChunkLanes * k; l < kChunkLanes * (k + 1); ++l) {
-      const double s = frac[l];
-      const Pair b = c0 + s * (c1 + s * (c2 + s * c3));
-      const Pair swapped = {b[1], b[0]};
-      const Pair t = b * base_re[l] + swapped * base_im[l] * sign;
-      std::memcpy(term + 2 * l, &t, sizeof t);
+template <typename V>
+[[gnu::always_inline]] inline void Store(double* p, V v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// The per-128-bit unpacks of a and b: Even = a0 b0 a2 b2 ... and
+// Odd = a1 b1 a3 b3 ...
+template <int W>
+[[gnu::always_inline]] inline Vec<W> Even(Vec<W> a, Vec<W> b) {
+  if constexpr (W == 2) {
+    return __builtin_shufflevector(a, b, 0, 2);
+  } else if constexpr (W == 4) {
+    return __builtin_shufflevector(a, b, 0, 4, 2, 6);
+  } else {
+    return __builtin_shufflevector(a, b, 0, 8, 2, 10, 4, 12, 6, 14);
+  }
+}
+
+template <int W>
+[[gnu::always_inline]] inline Vec<W> Odd(Vec<W> a, Vec<W> b) {
+  if constexpr (W == 2) {
+    return __builtin_shufflevector(a, b, 1, 3);
+  } else if constexpr (W == 4) {
+    return __builtin_shufflevector(a, b, 1, 5, 3, 7);
+  } else {
+    return __builtin_shufflevector(a, b, 1, 9, 3, 11, 5, 13, 7, 15);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The comb walk.
+
+// Cells [0, W * Chains): Chains independent rotation chains of W lanes.
+// Each cell's rotation is a serial multiply chain across steps, so
+// interleaving chains hides its latency.
+template <int W, int Chains>
+[[gnu::always_inline]] inline void WalkBlock(
+    const double* comb, std::size_t steps, const double* base_re,
+    const double* base_im, const double* step_re, const double* step_im,
+    double* acc_re, double* acc_im) {
+  Vec<W> r[Chains], i[Chains], sr[Chains], si[Chains], ar[Chains], ai[Chains];
+  for (int u = 0; u < Chains; ++u) {
+    r[u] = Load<W>(base_re + W * u);
+    i[u] = Load<W>(base_im + W * u);
+    sr[u] = Load<W>(step_re + W * u);
+    si[u] = Load<W>(step_im + W * u);
+    ar[u] = Vec<W>{};
+    ai[u] = Vec<W>{};
+  }
+  for (std::size_t k = 0; k < steps; ++k) {
+    const double a_re = comb[2 * k];
+    const double a_im = comb[2 * k + 1];
+    if (a_re != 0.0 || a_im != 0.0) {
+      for (int u = 0; u < Chains; ++u) {
+        ar[u] += a_re * r[u] - a_im * i[u];
+        ai[u] += a_re * i[u] + a_im * r[u];
+      }
+    }
+    if (k + 1 != steps) {
+      for (int u = 0; u < Chains; ++u) {
+        const Vec<W> p = r[u];
+        r[u] = p * sr[u] - i[u] * si[u];
+        i[u] = p * si[u] + i[u] * sr[u];
+      }
+    }
+  }
+  for (int u = 0; u < Chains; ++u) {
+    Store(acc_re + W * u, ar[u]);
+    Store(acc_im + W * u, ai[u]);
+  }
+}
+
+template <int W, int Chains>
+[[gnu::always_inline]] inline void Walk(
+    const double* comb, std::size_t steps, const double* base_re,
+    const double* base_im, const double* step_re, const double* step_im,
+    double* acc_re, double* acc_im, std::size_t n) {
+  constexpr std::size_t kBlock = W * Chains;
+  if (n < kBlock) {
+    if constexpr (Chains > 1) {
+      Walk<W, 1>(comb, steps, base_re, base_im, step_re, step_im, acc_re,
+                 acc_im, n);
+    } else {
+      // Fewer cells than lanes: walk them in the low lanes of zero-padded
+      // copies.
+      double in[4][W] = {};
+      double out[2][W];
+      for (std::size_t c = 0; c < n; ++c) {
+        in[0][c] = base_re[c];
+        in[1][c] = base_im[c];
+        in[2][c] = step_re[c];
+        in[3][c] = step_im[c];
+      }
+      WalkBlock<W, 1>(comb, steps, in[0], in[1], in[2], in[3], out[0],
+                      out[1]);
+      std::memcpy(acc_re, out[0], n * sizeof(double));
+      std::memcpy(acc_im, out[1], n * sizeof(double));
+    }
+    return;
+  }
+  for (std::size_t c = 0; c < n; c += kBlock) {
+    // Overlapped tail: the walk is pure per cell (acc[c] is a function of
+    // base[c]/step[c]/comb only), so the last block is shifted to end
+    // exactly at n; it rewrites the overlap with identical bits and keeps
+    // the remainder at full vector throughput.
+    c = std::min(c, n - kBlock);
+    WalkBlock<W, Chains>(comb, steps, base_re + c, base_im + c, step_re + c,
+                         step_im + c, acc_re + c, acc_im + c);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The plan-chunk kernels.
+
+// Stores lanes (re[l], im[l]) as W interleaved pairs.
+template <int W>
+[[gnu::always_inline]] inline void StoreInterleaved(double* out, Vec<W> re,
+                                                    Vec<W> im) {
+  if constexpr (W == 8) {
+    Store(out, __builtin_shufflevector(re, im, 0, 8, 1, 9, 2, 10, 3, 11));
+    Store(out + 8,
+          __builtin_shufflevector(re, im, 4, 12, 5, 13, 6, 14, 7, 15));
+  } else {
+    const Vec<W> even = Even<W>(re, im);
+    const Vec<W> odd = Odd<W>(re, im);
+    if constexpr (W == 2) {
+      Store(out, even);
+      Store(out + 2, odd);
+    } else {
+      // An unpack, then a 128-bit block pick: the direct two-source
+      // 4-wide shuffle lowers to more instructions.
+      Store(out, __builtin_shufflevector(even, odd, 0, 1, 4, 5));
+      Store(out + 4, __builtin_shufflevector(even, odd, 2, 3, 6, 7));
     }
   }
 }
 
-void GatherAddScalar(const double* term, const std::uint32_t* lane, bool init,
-                     double* acc_re, double* acc_im, double* magnitude,
-                     std::size_t n) {
-  for (std::size_t c = 0; c < n; ++c) {
+template <int W>
+[[gnu::always_inline]] inline void ChunkTerms(
+    const double* table, const std::uint32_t* interval, const double* frac,
+    const double* base_re, const double* base_im, double* term,
+    std::size_t chunks) {
+  for (std::size_t k = 0; k < chunks; ++k) {
+    // The cubic is shared by the chunk's lanes. Its coefficients stay in
+    // scalar locals: staging them through a stack array costs a
+    // store-forwarding stall per chunk.
+    const double* c = table + 8 * std::size_t{interval[k]};
+    const double c0r = c[0], c0i = c[1], c1r = c[2], c1i = c[3];
+    const double c2r = c[4], c2i = c[5], c3r = c[6], c3i = c[7];
+    for (std::size_t h = 0; h < kChunkLanes; h += W) {
+      const std::size_t l = kChunkLanes * k + h;
+      const Vec<W> s = Load<W>(frac + l);
+      const Vec<W> br = c0r + s * (c1r + s * (c2r + s * c3r));
+      const Vec<W> bi = c0i + s * (c1i + s * (c2i + s * c3i));
+      const Vec<W> pr = Load<W>(base_re + l);
+      const Vec<W> pi = Load<W>(base_im + l);
+      StoreInterleaved<W>(term + 2 * l, br * pr - bi * pi, bi * pr + br * pi);
+    }
+  }
+}
+
+// The (re, im) pairs of cells 0, 2, ..., W - 2 of `lane`, concatenated: one
+// 16-byte load per cell reads both parts from one cache line.
+template <int W>
+[[gnu::always_inline]] inline Vec<W> TermPairs(const double* term,
+                                               const std::uint32_t* lane) {
+  if constexpr (W == 2) {
+    return Load<2>(term + 2 * std::size_t{lane[0]});
+  } else {
+    const Vec<W / 2> lo = TermPairs<W / 2>(term, lane);
+    const Vec<W / 2> hi = TermPairs<W / 2>(term, lane + W / 2);
+    if constexpr (W == 4) {
+      return __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
+    } else {
+      return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+    }
+  }
+}
+
+template <int W>
+[[gnu::always_inline]] inline void GatherAdd(
+    const double* term, const std::uint32_t* lane, bool init, double* acc_re,
+    double* acc_im, double* magnitude, std::size_t n) {
+  std::size_t c = 0;
+  for (; c + W <= n; c += W) {
+    // a holds the pairs of cells c, c + 2, ..., b those of c + 1, c + 3, ...:
+    // their even and odd lanes are the W cells' re and im in cell order.
+    const Vec<W> a = TermPairs<W>(term, lane + c);
+    const Vec<W> b = TermPairs<W>(term, lane + c + 1);
+    const Vec<W> re = (init ? Vec<W>{} : Load<W>(acc_re + c)) + Even<W>(a, b);
+    const Vec<W> im = (init ? Vec<W>{} : Load<W>(acc_im + c)) + Odd<W>(a, b);
+    if (magnitude != nullptr) {
+      Vec<W> m = re * re + im * im;
+      for (int e = 0; e < W; ++e) m[e] = std::sqrt(m[e]);
+      Store(magnitude + c, m);
+    } else {
+      Store(acc_re + c, re);
+      Store(acc_im + c, im);
+    }
+  }
+  // The last n % W cells. The gather adds into acc, so an overlapped
+  // vector would add twice.
+  for (; c < n; ++c) {
     const double* t = term + 2 * std::size_t{lane[c]};
     const double re = (init ? 0.0 : acc_re[c]) + t[0];
     const double im = (init ? 0.0 : acc_im[c]) + t[1];
@@ -170,382 +268,35 @@ void GatherAddScalar(const double* term, const std::uint32_t* lane, bool init,
   }
 }
 
+// ---------------------------------------------------------------------------
+// The per-ISA entry points: forwarding templates whose parameter types are
+// deduced from the Kernels slot they fill. The walk keeps 2, 2 and 4
+// chains: at W = 8, 4 chains leave 26 of the 32 zmm registers live; at
+// W = 2 and 4, 2 chains stay inside the 16 xmm/ymm registers (4 step
+// rotors + 4 cur + 4 acc + 2 comb broadcasts).
+
+void WalkScalar(auto... a) { Walk<2, 2>(a...); }
+void ChunkTermsScalar(auto... a) { ChunkTerms<2>(a...); }
+void GatherAddScalar(auto... a) { GatherAdd<2>(a...); }
+
 constexpr Kernels kScalarKernels{WalkScalar, ChunkTermsScalar,
                                  GatherAddScalar, Isa::kScalar};
 
 #if defined(BLOC_SIMD_X86)
 
-// ---------------------------------------------------------------------------
-// AVX2: 4 doubles per lane group. _mm256_mul_pd/_mm256_add_pd/_mm256_sub_pd
-// mirror the scalar expression tree exactly (no _mm256_fmadd_pd).
-
-// One 8-cell block of the AVX2 walk: 2 independent rotation chains of 4
-// lanes. Two chains hide the rotate's multiply latency while staying inside
-// the 16 ymm registers (4 step rotors + 4 cur + 4 acc + 2 broadcasts = 14
-// live).
-__attribute__((target("avx2"))) inline void WalkAvx2Block8(
-    const double* comb, std::size_t steps, const double* base_re,
-    const double* base_im, const double* step_re, const double* step_im,
-    double* acc_re, double* acc_im) {
-  __m256d r0 = _mm256_loadu_pd(base_re);
-  __m256d i0 = _mm256_loadu_pd(base_im);
-  __m256d r1 = _mm256_loadu_pd(base_re + 4);
-  __m256d i1 = _mm256_loadu_pd(base_im + 4);
-  const __m256d sr0 = _mm256_loadu_pd(step_re);
-  const __m256d si0 = _mm256_loadu_pd(step_im);
-  const __m256d sr1 = _mm256_loadu_pd(step_re + 4);
-  const __m256d si1 = _mm256_loadu_pd(step_im + 4);
-  __m256d ar0 = _mm256_setzero_pd();
-  __m256d ai0 = _mm256_setzero_pd();
-  __m256d ar1 = _mm256_setzero_pd();
-  __m256d ai1 = _mm256_setzero_pd();
-  for (std::size_t k = 0; k < steps; ++k) {
-    const double a_re = comb[2 * k];
-    const double a_im = comb[2 * k + 1];
-    if (a_re != 0.0 || a_im != 0.0) {
-      const __m256d va = _mm256_set1_pd(a_re);
-      const __m256d vb = _mm256_set1_pd(a_im);
-      ar0 = _mm256_add_pd(ar0, _mm256_sub_pd(_mm256_mul_pd(va, r0),
-                                             _mm256_mul_pd(vb, i0)));
-      ai0 = _mm256_add_pd(ai0, _mm256_add_pd(_mm256_mul_pd(va, i0),
-                                             _mm256_mul_pd(vb, r0)));
-      ar1 = _mm256_add_pd(ar1, _mm256_sub_pd(_mm256_mul_pd(va, r1),
-                                             _mm256_mul_pd(vb, i1)));
-      ai1 = _mm256_add_pd(ai1, _mm256_add_pd(_mm256_mul_pd(va, i1),
-                                             _mm256_mul_pd(vb, r1)));
-    }
-    if (k + 1 != steps) {
-      const __m256d p0 = r0;
-      r0 = _mm256_sub_pd(_mm256_mul_pd(p0, sr0), _mm256_mul_pd(i0, si0));
-      i0 = _mm256_add_pd(_mm256_mul_pd(p0, si0), _mm256_mul_pd(i0, sr0));
-      const __m256d p1 = r1;
-      r1 = _mm256_sub_pd(_mm256_mul_pd(p1, sr1), _mm256_mul_pd(i1, si1));
-      i1 = _mm256_add_pd(_mm256_mul_pd(p1, si1), _mm256_mul_pd(i1, sr1));
-    }
-  }
-  _mm256_storeu_pd(acc_re, ar0);
-  _mm256_storeu_pd(acc_im, ai0);
-  _mm256_storeu_pd(acc_re + 4, ar1);
-  _mm256_storeu_pd(acc_im + 4, ai1);
-}
-
-__attribute__((target("avx2"))) void WalkAvx2(
-    const double* comb, std::size_t steps, const double* base_re,
-    const double* base_im, const double* step_re, const double* step_im,
-    double* acc_re, double* acc_im, std::size_t n) {
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    WalkAvx2Block8(comb, steps, base_re + c, base_im + c, step_re + c,
-                   step_im + c, acc_re + c, acc_im + c);
-  }
-  if (c == n) return;
-  if (n >= 8) {
-    // Overlapped tail: the walk is pure per cell (acc[c] is a function of
-    // base[c]/step[c]/comb only), so re-running the final full-width block
-    // shifted to end exactly at n rewrites the overlap with identical bits
-    // and keeps the remainder at full vector throughput.
-    c = n - 8;
-    WalkAvx2Block8(comb, steps, base_re + c, base_im + c, step_re + c,
-                   step_im + c, acc_re + c, acc_im + c);
-    return;
-  }
-  // n < 8: 4-cell chunk as one chain, then scalar.
-  for (; c + 4 <= n; c += 4) {
-    __m256d r0 = _mm256_loadu_pd(base_re + c);
-    __m256d i0 = _mm256_loadu_pd(base_im + c);
-    const __m256d sr0 = _mm256_loadu_pd(step_re + c);
-    const __m256d si0 = _mm256_loadu_pd(step_im + c);
-    __m256d ar0 = _mm256_setzero_pd();
-    __m256d ai0 = _mm256_setzero_pd();
-    for (std::size_t k = 0; k < steps; ++k) {
-      const double a_re = comb[2 * k];
-      const double a_im = comb[2 * k + 1];
-      if (a_re != 0.0 || a_im != 0.0) {
-        const __m256d va = _mm256_set1_pd(a_re);
-        const __m256d vb = _mm256_set1_pd(a_im);
-        ar0 = _mm256_add_pd(ar0, _mm256_sub_pd(_mm256_mul_pd(va, r0),
-                                               _mm256_mul_pd(vb, i0)));
-        ai0 = _mm256_add_pd(ai0, _mm256_add_pd(_mm256_mul_pd(va, i0),
-                                               _mm256_mul_pd(vb, r0)));
-      }
-      if (k + 1 != steps) {
-        const __m256d p0 = r0;
-        r0 = _mm256_sub_pd(_mm256_mul_pd(p0, sr0), _mm256_mul_pd(i0, si0));
-        i0 = _mm256_add_pd(_mm256_mul_pd(p0, si0), _mm256_mul_pd(i0, sr0));
-      }
-    }
-    _mm256_storeu_pd(acc_re + c, ar0);
-    _mm256_storeu_pd(acc_im + c, ai0);
-  }
-  WalkScalar(comb, steps, base_re + c, base_im + c, step_re + c, step_im + c,
-             acc_re + c, acc_im + c, n - c);
-}
-
-__attribute__((target("avx2"))) void ChunkTermsAvx2(
-    const double* table, const std::uint32_t* interval, const double* frac,
-    const double* base_re, const double* base_im, double* term,
-    std::size_t chunks) {
-  for (std::size_t k = 0; k < chunks; ++k) {
-    const double* c = table + 8 * std::size_t{interval[k]};
-    const __m256d c0r = _mm256_broadcast_sd(c);
-    const __m256d c0i = _mm256_broadcast_sd(c + 1);
-    const __m256d c1r = _mm256_broadcast_sd(c + 2);
-    const __m256d c1i = _mm256_broadcast_sd(c + 3);
-    const __m256d c2r = _mm256_broadcast_sd(c + 4);
-    const __m256d c2i = _mm256_broadcast_sd(c + 5);
-    const __m256d c3r = _mm256_broadcast_sd(c + 6);
-    const __m256d c3i = _mm256_broadcast_sd(c + 7);
-    for (std::size_t h = 0; h < kChunkLanes; h += 4) {
-      const std::size_t l = kChunkLanes * k + h;
-      const __m256d s = _mm256_loadu_pd(frac + l);
-      const __m256d br = _mm256_add_pd(
-          c0r, _mm256_mul_pd(
-                   s, _mm256_add_pd(
-                          c1r, _mm256_mul_pd(
-                                   s, _mm256_add_pd(c2r, _mm256_mul_pd(s, c3r))))));
-      const __m256d bi = _mm256_add_pd(
-          c0i, _mm256_mul_pd(
-                   s, _mm256_add_pd(
-                          c1i, _mm256_mul_pd(
-                                   s, _mm256_add_pd(c2i, _mm256_mul_pd(s, c3i))))));
-      const __m256d pr = _mm256_loadu_pd(base_re + l);
-      const __m256d pi = _mm256_loadu_pd(base_im + l);
-      const __m256d tr =
-          _mm256_sub_pd(_mm256_mul_pd(br, pr), _mm256_mul_pd(bi, pi));
-      const __m256d ti =
-          _mm256_add_pd(_mm256_mul_pd(bi, pr), _mm256_mul_pd(br, pi));
-      // Interleave to (re, im) pairs: lanes 0 2 / 1 3, then swap halves.
-      const __m256d even = _mm256_unpacklo_pd(tr, ti);
-      const __m256d odd = _mm256_unpackhi_pd(tr, ti);
-      _mm256_storeu_pd(term + 2 * l, _mm256_permute2f128_pd(even, odd, 0x20));
-      _mm256_storeu_pd(term + 2 * l + 4,
-                       _mm256_permute2f128_pd(even, odd, 0x31));
-    }
-  }
-}
-
-/// The (re, im) pair of cell `c`'s term.
-__attribute__((target("avx2"))) inline __m128d TermPair(
-    const double* term, const std::uint32_t* lane, std::size_t c) {
-  return _mm_loadu_pd(term + 2 * std::size_t{lane[c]});
-}
-
-__attribute__((target("avx2"))) void GatherAddAvx2(
-    const double* term, const std::uint32_t* lane, bool init, double* acc_re,
-    double* acc_im, double* magnitude, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    // a = pairs (0, 2), b = pairs (1, 3): the per-128-bit unpacks then give
-    // the four cells' re and im in cell order.
-    const __m256d a = _mm256_set_m128d(TermPair(term, lane, c + 2),
-                                       TermPair(term, lane, c));
-    const __m256d b = _mm256_set_m128d(TermPair(term, lane, c + 3),
-                                       TermPair(term, lane, c + 1));
-    const __m256d re = _mm256_add_pd(
-        init ? zero : _mm256_loadu_pd(acc_re + c), _mm256_unpacklo_pd(a, b));
-    const __m256d im = _mm256_add_pd(
-        init ? zero : _mm256_loadu_pd(acc_im + c), _mm256_unpackhi_pd(a, b));
-    if (magnitude != nullptr) {
-      _mm256_storeu_pd(magnitude + c,
-                       _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(re, re),
-                                                    _mm256_mul_pd(im, im))));
-    } else {
-      _mm256_storeu_pd(acc_re + c, re);
-      _mm256_storeu_pd(acc_im + c, im);
-    }
-  }
-  GatherAddScalar(term, lane + c, init, acc_re + c, acc_im + c,
-                  magnitude == nullptr ? nullptr : magnitude + c, n - c);
-}
+[[gnu::target("avx2")]] void WalkAvx2(auto... a) { Walk<4, 2>(a...); }
+[[gnu::target("avx2")]] void ChunkTermsAvx2(auto... a) { ChunkTerms<4>(a...); }
+[[gnu::target("avx2")]] void GatherAddAvx2(auto... a) { GatherAdd<4>(a...); }
 
 constexpr Kernels kAvx2Kernels{WalkAvx2, ChunkTermsAvx2, GatherAddAvx2,
                                Isa::kAvx2};
 
-// ---------------------------------------------------------------------------
-// AVX-512F: 8 doubles per lane group, same expression tree.
-
-// One 32-cell block of the AVX-512 walk: 4 independent rotation chains of 8
-// lanes; 26 of the 32 zmm registers stay live.
-__attribute__((target("avx512f"))) inline void WalkAvx512Block32(
-    const double* comb, std::size_t steps, const double* base_re,
-    const double* base_im, const double* step_re, const double* step_im,
-    double* acc_re, double* acc_im) {
-  __m512d r[4], i[4], ar[4], ai[4];
-  __m512d sr[4], si[4];
-  for (std::size_t u = 0; u < 4; ++u) {
-    r[u] = _mm512_loadu_pd(base_re + 8 * u);
-    i[u] = _mm512_loadu_pd(base_im + 8 * u);
-    sr[u] = _mm512_loadu_pd(step_re + 8 * u);
-    si[u] = _mm512_loadu_pd(step_im + 8 * u);
-    ar[u] = _mm512_setzero_pd();
-    ai[u] = _mm512_setzero_pd();
-  }
-  for (std::size_t k = 0; k < steps; ++k) {
-    const double a_re = comb[2 * k];
-    const double a_im = comb[2 * k + 1];
-    if (a_re != 0.0 || a_im != 0.0) {
-      const __m512d va = _mm512_set1_pd(a_re);
-      const __m512d vb = _mm512_set1_pd(a_im);
-      for (std::size_t u = 0; u < 4; ++u) {
-        ar[u] = _mm512_add_pd(ar[u], _mm512_sub_pd(_mm512_mul_pd(va, r[u]),
-                                                   _mm512_mul_pd(vb, i[u])));
-        ai[u] = _mm512_add_pd(ai[u], _mm512_add_pd(_mm512_mul_pd(va, i[u]),
-                                                   _mm512_mul_pd(vb, r[u])));
-      }
-    }
-    if (k + 1 != steps) {
-      for (std::size_t u = 0; u < 4; ++u) {
-        const __m512d p = r[u];
-        r[u] = _mm512_sub_pd(_mm512_mul_pd(p, sr[u]),
-                             _mm512_mul_pd(i[u], si[u]));
-        i[u] = _mm512_add_pd(_mm512_mul_pd(p, si[u]),
-                             _mm512_mul_pd(i[u], sr[u]));
-      }
-    }
-  }
-  for (std::size_t u = 0; u < 4; ++u) {
-    _mm512_storeu_pd(acc_re + 8 * u, ar[u]);
-    _mm512_storeu_pd(acc_im + 8 * u, ai[u]);
-  }
+[[gnu::target("avx512f")]] void WalkAvx512(auto... a) { Walk<8, 4>(a...); }
+[[gnu::target("avx512f")]] void ChunkTermsAvx512(auto... a) {
+  ChunkTerms<8>(a...);
 }
-
-__attribute__((target("avx512f"))) void WalkAvx512(
-    const double* comb, std::size_t steps, const double* base_re,
-    const double* base_im, const double* step_re, const double* step_im,
-    double* acc_re, double* acc_im, std::size_t n) {
-  std::size_t c = 0;
-  for (; c + 32 <= n; c += 32) {
-    WalkAvx512Block32(comb, steps, base_re + c, base_im + c, step_re + c,
-                      step_im + c, acc_re + c, acc_im + c);
-  }
-  if (c == n) return;
-  if (n >= 32) {
-    // Overlapped tail: the walk is pure per cell (acc[c] is a function of
-    // base[c]/step[c]/comb only), so re-running the final full-width block
-    // shifted to end exactly at n rewrites the overlap with identical bits
-    // and keeps the remainder at full vector throughput.
-    c = n - 32;
-    WalkAvx512Block32(comb, steps, base_re + c, base_im + c, step_re + c,
-                      step_im + c, acc_re + c, acc_im + c);
-    return;
-  }
-  // n < 32: 8-cell chunks as one chain, then scalar.
-  for (; c + 8 <= n; c += 8) {
-    __m512d r0 = _mm512_loadu_pd(base_re + c);
-    __m512d i0 = _mm512_loadu_pd(base_im + c);
-    const __m512d sr0 = _mm512_loadu_pd(step_re + c);
-    const __m512d si0 = _mm512_loadu_pd(step_im + c);
-    __m512d ar0 = _mm512_setzero_pd();
-    __m512d ai0 = _mm512_setzero_pd();
-    for (std::size_t k = 0; k < steps; ++k) {
-      const double a_re = comb[2 * k];
-      const double a_im = comb[2 * k + 1];
-      if (a_re != 0.0 || a_im != 0.0) {
-        const __m512d va = _mm512_set1_pd(a_re);
-        const __m512d vb = _mm512_set1_pd(a_im);
-        ar0 = _mm512_add_pd(ar0, _mm512_sub_pd(_mm512_mul_pd(va, r0),
-                                               _mm512_mul_pd(vb, i0)));
-        ai0 = _mm512_add_pd(ai0, _mm512_add_pd(_mm512_mul_pd(va, i0),
-                                               _mm512_mul_pd(vb, r0)));
-      }
-      if (k + 1 != steps) {
-        const __m512d p0 = r0;
-        r0 = _mm512_sub_pd(_mm512_mul_pd(p0, sr0), _mm512_mul_pd(i0, si0));
-        i0 = _mm512_add_pd(_mm512_mul_pd(p0, si0), _mm512_mul_pd(i0, sr0));
-      }
-    }
-    _mm512_storeu_pd(acc_re + c, ar0);
-    _mm512_storeu_pd(acc_im + c, ai0);
-  }
-  WalkScalar(comb, steps, base_re + c, base_im + c, step_re + c, step_im + c,
-             acc_re + c, acc_im + c, n - c);
-}
-
-// One chunk is one vector: the cubic's coefficients are broadcasts and the
-// frac/rotor loads are contiguous.
-__attribute__((target("avx512f"))) void ChunkTermsAvx512(
-    const double* table, const std::uint32_t* interval, const double* frac,
-    const double* base_re, const double* base_im, double* term,
-    std::size_t chunks) {
-  // (re, im) pairs of lanes 0-3 and 4-7: index i < 8 picks tr[i], 8 + i
-  // picks ti[i].
-  const __m512i first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
-  const __m512i second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
-  for (std::size_t k = 0; k < chunks; ++k) {
-    const double* c = table + 8 * std::size_t{interval[k]};
-    const std::size_t l = kChunkLanes * k;
-    const __m512d s = _mm512_loadu_pd(frac + l);
-    const __m512d br = _mm512_add_pd(
-        _mm512_set1_pd(c[0]),
-        _mm512_mul_pd(
-            s, _mm512_add_pd(
-                   _mm512_set1_pd(c[2]),
-                   _mm512_mul_pd(s, _mm512_add_pd(
-                                        _mm512_set1_pd(c[4]),
-                                        _mm512_mul_pd(s, _mm512_set1_pd(c[6])))))));
-    const __m512d bi = _mm512_add_pd(
-        _mm512_set1_pd(c[1]),
-        _mm512_mul_pd(
-            s, _mm512_add_pd(
-                   _mm512_set1_pd(c[3]),
-                   _mm512_mul_pd(s, _mm512_add_pd(
-                                        _mm512_set1_pd(c[5]),
-                                        _mm512_mul_pd(s, _mm512_set1_pd(c[7])))))));
-    const __m512d pr = _mm512_loadu_pd(base_re + l);
-    const __m512d pi = _mm512_loadu_pd(base_im + l);
-    const __m512d tr =
-        _mm512_sub_pd(_mm512_mul_pd(br, pr), _mm512_mul_pd(bi, pi));
-    const __m512d ti =
-        _mm512_add_pd(_mm512_mul_pd(bi, pr), _mm512_mul_pd(br, pi));
-    _mm512_storeu_pd(term + 2 * l, _mm512_permutex2var_pd(tr, first, ti));
-    _mm512_storeu_pd(term + 2 * l + 8, _mm512_permutex2var_pd(tr, second, ti));
-  }
-}
-
-__attribute__((target("avx512f"))) void GatherAddAvx512(
-    const double* term, const std::uint32_t* lane, bool init, double* acc_re,
-    double* acc_im, double* magnitude, std::size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  std::size_t c = 0;
-  for (; c + 8 <= n; c += 8) {
-    // a = pairs (0, 2, 4, 6), b = pairs (1, 3, 5, 7): the per-128-bit
-    // unpacks then give the eight cells' re and im in cell order. One
-    // 16-byte load per cell reads both parts from one cache line.
-    // (The maskz forms with a full mask: the plain intrinsics start from an
-    // undefined register.)
-    const __m512d a = _mm512_maskz_insertf64x4(
-        0xFF,
-        _mm512_castpd256_pd512(_mm256_set_m128d(TermPair(term, lane, c + 2),
-                                                TermPair(term, lane, c))),
-        _mm256_set_m128d(TermPair(term, lane, c + 6),
-                         TermPair(term, lane, c + 4)),
-        1);
-    const __m512d b = _mm512_maskz_insertf64x4(
-        0xFF,
-        _mm512_castpd256_pd512(_mm256_set_m128d(TermPair(term, lane, c + 3),
-                                                TermPair(term, lane, c + 1))),
-        _mm256_set_m128d(TermPair(term, lane, c + 7),
-                         TermPair(term, lane, c + 5)),
-        1);
-    const __m512d re =
-        _mm512_add_pd(init ? zero : _mm512_loadu_pd(acc_re + c),
-                      _mm512_maskz_unpacklo_pd(0xFF, a, b));
-    const __m512d im =
-        _mm512_add_pd(init ? zero : _mm512_loadu_pd(acc_im + c),
-                      _mm512_maskz_unpackhi_pd(0xFF, a, b));
-    if (magnitude != nullptr) {
-      _mm512_storeu_pd(
-          magnitude + c,
-          _mm512_maskz_sqrt_pd(0xFF, _mm512_add_pd(_mm512_mul_pd(re, re),
-                                                   _mm512_mul_pd(im, im))));
-    } else {
-      _mm512_storeu_pd(acc_re + c, re);
-      _mm512_storeu_pd(acc_im + c, im);
-    }
-  }
-  GatherAddScalar(term, lane + c, init, acc_re + c, acc_im + c,
-                  magnitude == nullptr ? nullptr : magnitude + c, n - c);
+[[gnu::target("avx512f")]] void GatherAddAvx512(auto... a) {
+  GatherAdd<8>(a...);
 }
 
 constexpr Kernels kAvx512Kernels{WalkAvx512, ChunkTermsAvx512,

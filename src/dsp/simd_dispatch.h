@@ -5,18 +5,22 @@
 // hundred table entries (`walk`); each antenna's plan terms, grouped by
 // table interval into 8-lane chunks, then interpolate that table
 // (`chunk_terms`) and are gathered back into cell order (`gather_add`).
-// This facility probes the CPU once at startup and resolves a function-
-// pointer table to explicit scalar / AVX2 / AVX-512 variants of all three,
-// so a portable binary still runs 512-bit code on machines that have it.
+// Each kernel is written once, as a template over the vector width, and
+// instantiated three times: "scalar" (the baseline target, 2 lanes — SSE2
+// on x86-64), AVX2 (4 lanes) and AVX-512 (8 lanes). This facility probes
+// the CPU once at startup and resolves a function-pointer table to one of
+// the three, so a portable binary still runs 512-bit code on machines that
+// have it.
 //
-// Bit-identity contract: every variant performs the same IEEE-754 double
-// operations in the same per-element order and none uses FMA (the
+// Bit-identity contract: every instantiation performs the same IEEE-754
+// double operations in the same per-element order and none uses FMA (the
 // translation unit is additionally built with -ffp-contract=off), so every
 // table entry, plan term and map value is bit-identical across ISAs and
 // lane packings. The cross-ISA parity tests rely on this.
 //
 // `BLOC_FORCE_ISA=scalar|avx2|avx512` overrides the probe (clamped down to
-// what the CPU supports) — used by the tests and the CI scalar leg.
+// what the CPU supports) — used by the tests and the CI scalar and AVX2
+// legs.
 #pragma once
 
 #include <cstddef>

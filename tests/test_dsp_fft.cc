@@ -36,7 +36,9 @@ TEST(Fft, SingleToneLandsInItsBin) {
   Fft(x);
   EXPECT_NEAR(std::abs(x[tone]), static_cast<double>(n), 1e-8);
   for (std::size_t k = 0; k < n; ++k) {
-    if (k != tone) EXPECT_NEAR(std::abs(x[k]), 0.0, 1e-8);
+    if (k != tone) {
+      EXPECT_NEAR(std::abs(x[k]), 0.0, 1e-8);
+    }
   }
 }
 

@@ -76,6 +76,31 @@ struct Operands {
   }
 };
 
+/// The walk of one cell, written out per cell and independent of the
+/// kernels' vector template: MAC unless the comb coefficient is zero,
+/// rotate unless it is the final step.
+void WalkOracle(const double* comb, std::size_t steps, double r, double i,
+                double sr, double si, double* out_re, double* out_im) {
+  double ar = 0.0;
+  double ai = 0.0;
+  for (std::size_t k = 0; k < steps; ++k) {
+    const double a_re = comb[2 * k];
+    const double a_im = comb[2 * k + 1];
+    if (a_re != 0.0 || a_im != 0.0) {
+      ar += a_re * r - a_im * i;
+      ai += a_re * i + a_im * r;
+    }
+    if (k + 1 != steps) {
+      const double pr = r;
+      const double pi = i;
+      r = pr * sr - pi * si;
+      i = pr * si + pi * sr;
+    }
+  }
+  *out_re = ar;
+  *out_im = ai;
+}
+
 // Every kernel variant must produce bit-identical doubles for every lane —
 // the band tables, the plan terms and with them every map value depend on
 // it, so the comparisons below are exact, not EXPECT_NEAR.
@@ -179,6 +204,102 @@ TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
       ASSERT_EQ(a_re[c], acc_re0[c] + ref_term[2 * lane[c]]);
       ASSERT_EQ(a_im[c], acc_im0[c] + ref_term[2 * lane[c] + 1]);
       ASSERT_EQ(mag[c], std::sqrt(a_re[c] * a_re[c] + a_im[c] * a_im[c]));
+    }
+  }
+}
+
+// Every ISA, the scalar one included, against the per-cell formulas: all
+// three tables come from one vector-width template, so agreeing with each
+// other alone would not catch a template bug. The lengths straddle each
+// walk block (4, 8 and 32 cells) and each vector width.
+TEST(SimdDispatch, EveryIsaMatchesPerCellFormulas) {
+  std::mt19937 rng(11);
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!IsaSupported(isa)) continue;
+    const Kernels& k = ForIsa(isa);
+    for (std::size_t n = 1; n <= 100; ++n) {
+      const std::size_t steps = 37;
+      Operands op(rng, steps, n);
+      k.walk(op.comb.data(), steps, op.base_re.data(), op.base_im.data(),
+             op.step_re.data(), op.step_im.data(), op.acc_re.data(),
+             op.acc_im.data(), n);
+      for (std::size_t c = 0; c < n; ++c) {
+        double re = 0.0;
+        double im = 0.0;
+        WalkOracle(op.comb.data(), steps, op.base_re[c], op.base_im[c],
+                   op.step_re[c], op.step_im[c], &re, &im);
+        ASSERT_EQ(op.acc_re[c], re)
+            << "walk " << IsaName(isa) << " n=" << n << " c=" << c;
+        ASSERT_EQ(op.acc_im[c], im)
+            << "walk " << IsaName(isa) << " n=" << n << " c=" << c;
+      }
+    }
+  }
+
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  const auto random = [&](std::size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = u(rng);
+    return v;
+  };
+  constexpr std::size_t kIntervals = 23;
+  const std::vector<double> table = random(8 * kIntervals);
+  for (const std::size_t chunks : {1u, 2u, 5u, 9u}) {
+    const std::size_t lanes = chunks * kChunkLanes;
+    std::vector<std::uint32_t> interval(chunks);
+    std::uniform_int_distribution<std::uint32_t> pick(0, kIntervals - 1);
+    for (std::uint32_t& i : interval) i = pick(rng);
+    std::vector<double> frac = random(lanes);
+    for (double& f : frac) f = 0.5 * (f + 1.0);  // [0, 1)
+    const std::vector<double> base_re = random(lanes);
+    const std::vector<double> base_im = random(lanes);
+    std::vector<std::uint32_t> lane(lanes + 5);
+    std::uniform_int_distribution<std::uint32_t> any_lane(
+        0, static_cast<std::uint32_t>(lanes - 1));
+    for (std::uint32_t& l : lane) l = any_lane(rng);
+    const std::vector<double> acc_re0 = random(lane.size());
+    const std::vector<double> acc_im0 = random(lane.size());
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+      if (!IsaSupported(isa)) continue;
+      const Kernels& k = ForIsa(isa);
+      std::vector<double> term(2 * lanes);
+      k.chunk_terms(table.data(), interval.data(), frac.data(), base_re.data(),
+                    base_im.data(), term.data(), chunks);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const double* c = table.data() + 8 * interval[l / kChunkLanes];
+        const double s = frac[l];
+        const double br = c[0] + s * (c[2] + s * (c[4] + s * c[6]));
+        const double bi = c[1] + s * (c[3] + s * (c[5] + s * c[7]));
+        ASSERT_EQ(term[2 * l], br * base_re[l] - bi * base_im[l])
+            << "chunk_terms " << IsaName(isa) << " lane " << l;
+        ASSERT_EQ(term[2 * l + 1], bi * base_re[l] + br * base_im[l])
+            << "chunk_terms " << IsaName(isa) << " lane " << l;
+      }
+      for (const bool init : {true, false}) {
+        for (const bool finish : {false, true}) {
+          for (std::size_t n = 0; n <= lane.size(); ++n) {
+            std::vector<double> re = acc_re0, im = acc_im0;
+            std::vector<double> mag(lane.size(), -1.0);
+            k.gather_add(term.data(), lane.data(), init, re.data(), im.data(),
+                         finish ? mag.data() : nullptr, n);
+            for (std::size_t c = 0; c < lane.size(); ++c) {
+              const double sum_re =
+                  (init ? 0.0 : acc_re0[c]) + term[2 * lane[c]];
+              const double sum_im =
+                  (init ? 0.0 : acc_im0[c]) + term[2 * lane[c] + 1];
+              const bool stored = c < n && !finish;
+              ASSERT_EQ(re[c], stored ? sum_re : acc_re0[c])
+                  << "gather_add " << IsaName(isa) << " n=" << n << " c=" << c;
+              ASSERT_EQ(im[c], stored ? sum_im : acc_im0[c])
+                  << "gather_add " << IsaName(isa) << " n=" << n << " c=" << c;
+              ASSERT_EQ(mag[c], c < n && finish ? std::sqrt(sum_re * sum_re +
+                                                            sum_im * sum_im)
+                                                : -1.0)
+                  << "gather_add " << IsaName(isa) << " n=" << n << " c=" << c;
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -519,7 +519,7 @@ TEST(DatasetStore, PathEncodesFormatVersionAndFingerprint) {
 // Streaming writer: rounds serialized as GenerateDataset produces them
 // ---------------------------------------------------------------------------
 
-TEST(StreamExperiment, WriterSinkMatchesOneShotEncode) {
+TEST(DatasetWriter, WriterSinkMatchesOneShotEncode) {
   const ScenarioConfig scenario = PaperTestbed(9);
   const DatasetOptions options = SmallOptions();
   const std::uint64_t fp = Fingerprint(scenario, options);
@@ -531,7 +531,7 @@ TEST(StreamExperiment, WriterSinkMatchesOneShotEncode) {
   EXPECT_EQ(streamed_bytes, EncodeDataset(dataset, fp));
 }
 
-TEST(StreamExperiment, WriterMisuseThrows) {
+TEST(DatasetWriter, WriterMisuseThrows) {
   DatasetWriter writer(1);
   EXPECT_THROW(writer.Append(0.0, {0, 0}, {}), std::logic_error);
   EXPECT_THROW(writer.Finish(), std::logic_error);
