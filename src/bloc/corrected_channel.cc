@@ -32,43 +32,50 @@ void RoundView::AssignAll(const net::MeasurementRound& r) {
   }
 }
 
-const BandMeasurement* RoundView::FindBand(std::size_t i,
-                                           std::uint8_t data_channel) const {
-  const CsiReport& report = Report(i);
-  for (std::size_t k : pool_[i].bands) {
-    if (report.bands[k].data_channel == data_channel) {
-      return &report.bands[k];
-    }
-  }
-  return nullptr;
-}
-
 void ComputeCorrectedChannelsInto(const RoundView& view,
                                   CorrectedChannels& out) {
-  std::size_t master_index = view.num_reports();
-  for (std::size_t i = 0; i < view.num_reports(); ++i) {
+  const std::size_t reports = view.num_reports();
+  std::size_t master_index = reports;
+  for (std::size_t i = 0; i < reports; ++i) {
     if (view.Report(i).is_master) {
-      if (master_index != view.num_reports()) {
+      if (master_index != reports) {
         throw std::invalid_argument("corrected channels: multiple masters");
       }
       master_index = i;
     }
   }
-  if (master_index == view.num_reports()) {
+  if (master_index == reports) {
     throw std::invalid_argument("corrected channels: no master report");
   }
-  const CsiReport& master = view.Report(master_index);
+
+  // Per kept report, data channel -> its kept band entry (the first one
+  // when a channel repeats), or nullptr. The scratch is thread_local so
+  // per-round recomputation stays allocation-free; each engine worker has
+  // its own copy.
+  constexpr std::size_t kChannels = 256;
+  thread_local std::vector<const BandMeasurement*> band_of;
+  band_of.assign(reports * kChannels, nullptr);
+  for (std::size_t i = 0; i < reports; ++i) {
+    const CsiReport& report = view.Report(i);
+    const BandMeasurement** row = band_of.data() + i * kChannels;
+    for (std::size_t k : view.View(i).bands) {
+      const BandMeasurement& band = report.bands[k];
+      if (row[band.data_channel] == nullptr) row[band.data_channel] = &band;
+    }
+  }
+  const auto kept_band = [&](std::size_t i, std::uint8_t channel) {
+    return band_of[i * kChannels + channel];
+  };
 
   // Bands present in every kept report (channel hops can be lost to noise).
-  // The scratch is thread_local so per-round recomputation stays
-  // allocation-free; each engine worker has its own copy.
   thread_local std::vector<std::uint8_t> common;
   common.clear();
+  const CsiReport& master = view.Report(master_index);
   for (std::size_t k : view.View(master_index).bands) {
     const std::uint8_t channel = master.bands[k].data_channel;
     bool everywhere = true;
-    for (std::size_t i = 0; i < view.num_reports(); ++i) {
-      if (view.FindBand(i, channel) == nullptr) {
+    for (std::size_t i = 0; i < reports; ++i) {
+      if (kept_band(i, channel) == nullptr) {
         everywhere = false;
         break;
       }
@@ -80,19 +87,19 @@ void ComputeCorrectedChannelsInto(const RoundView& view,
   }
   std::sort(common.begin(), common.end(),
             [&](std::uint8_t a, std::uint8_t b) {
-              return view.FindBand(master_index, a)->freq_hz <
-                     view.FindBand(master_index, b)->freq_hz;
+              return kept_band(master_index, a)->freq_hz <
+                     kept_band(master_index, b)->freq_hz;
             });
 
   out.band_channels.assign(common.begin(), common.end());
   out.band_freqs_hz.clear();
   out.band_freqs_hz.reserve(common.size());
   for (std::uint8_t c : common) {
-    out.band_freqs_hz.push_back(view.FindBand(master_index, c)->freq_hz);
+    out.band_freqs_hz.push_back(kept_band(master_index, c)->freq_hz);
   }
 
-  out.anchors.resize(view.num_reports());
-  for (std::size_t i = 0; i < view.num_reports(); ++i) {
+  out.anchors.resize(reports);
+  for (std::size_t i = 0; i < reports; ++i) {
     const CsiReport& r = view.Report(i);
     AnchorCorrected& ac = out.anchors[i];
     ac.anchor_id = r.anchor_id;
@@ -104,8 +111,8 @@ void ComputeCorrectedChannelsInto(const RoundView& view,
       ac.alpha[j].assign(common.size(), cplx{0, 0});
     }
     for (std::size_t k = 0; k < common.size(); ++k) {
-      const BandMeasurement* band = view.FindBand(i, common[k]);
-      const BandMeasurement* mband = view.FindBand(master_index, common[k]);
+      const BandMeasurement* band = kept_band(i, common[k]);
+      const BandMeasurement* mband = kept_band(master_index, common[k]);
       const cplx h00 = mband->tag_csi.at(0);
       for (std::size_t j = 0; j < antennas; ++j) {
         const cplx h_ij = band->tag_csi.at(j);

@@ -50,9 +50,6 @@ struct RoundView {
   const anchor::CsiReport& Report(std::size_t i) const {
     return round->reports[pool_[i].report_index];
   }
-  /// The kept band entry for `data_channel` in report `i`, or nullptr.
-  const anchor::BandMeasurement* FindBand(std::size_t i,
-                                          std::uint8_t data_channel) const;
 
  private:
   std::vector<ReportView> pool_;  // only the first num_reports_ are live

@@ -246,11 +246,16 @@ void Localizer::FusedMapInto(LocalizerWorkspace& ws,
   SearchStats& stats = ws.search.stats;
   stats = SearchStats{};
   const std::size_t n = ws.fuse_order.size();
-  // One map per anchor; one spectra scratch per executing slot.
-  if (ws.anchor_maps.size() < n) ws.anchor_maps.resize(n);
+  // The map stage's scratch belongs to the executing thread, not to `ws`
+  // (DESIGN.md §5), so it stays warm across every tag the thread serves. A
+  // thread runs at most one map stage at a time: ParallelFor's caller
+  // blocks without running other tasks. The anchor maps are the calling
+  // thread's, bound to a reference here so that pool helpers write into
+  // them (inside the lambda, `thread_maps` would name the helper's own).
+  thread_local std::vector<dsp::Grid2D> thread_maps;
+  std::vector<dsp::Grid2D>& maps = thread_maps;
+  if (maps.size() < n) maps.resize(n);
   ws.search.anchor_peaks.resize(n);
-  const std::size_t slots = map_pool == nullptr ? 1 : map_pool->size();
-  if (ws.spectra.size() < slots) ws.spectra.resize(slots);
 
   // The gate's window; one covering the whole grid is the ungated path.
   const CellWindow full = CellWindow::Full(config_.grid);
@@ -267,14 +272,16 @@ void Localizer::FusedMapInto(LocalizerWorkspace& ws,
   }
 
   const auto run_maps = [&] {
-    const auto anchor_map = [&](std::size_t i, std::size_t slot) {
+    const auto anchor_map = [&](std::size_t i, std::size_t) {
+      // The kernel scratch of the thread running this map.
+      thread_local SpectraWorkspace spectra;
       const std::size_t idx = ws.fuse_order[i];
       obs::TraceSpan span("localize.anchor_map", "bloc",
                           ws.corrected.anchors[idx].anchor_id);
       obs::ScopedTimer timer(metrics.anchor_map_us);
       ws.search.anchor_peaks[i] =
-          AnchorMapInto(ws.corrected, idx, ws.anchor_maps[i],
-                        ws.spectra[slot], stats.gated ? &window : nullptr);
+          AnchorMapInto(ws.corrected, idx, maps[i], spectra,
+                        stats.gated ? &window : nullptr);
     };
     if (map_pool == nullptr) {
       for (std::size_t i = 0; i < n; ++i) anchor_map(i, 0);
@@ -305,7 +312,7 @@ void Localizer::FusedMapInto(LocalizerWorkspace& ws,
   fused.Reset(config_.grid);
   obs::TraceSpan span("localize.fuse", "bloc");
   obs::ScopedTimer timer(metrics.fuse_us);
-  for (std::size_t i = 0; i < n; ++i) fused.Add(ws.anchor_maps[i]);
+  for (std::size_t i = 0; i < n; ++i) fused.Add(maps[i]);
 }
 
 dsp::Grid2D Localizer::FusedMap(const CorrectedChannels& corrected) const {

@@ -2,10 +2,11 @@
 // likelihood -> cross-anchor fusion -> multipath-rejecting peak selection.
 //
 // The pipeline is split into explicit stages (filter -> correct -> per-anchor
-// spectra -> fuse -> score) that operate on a caller-owned
-// LocalizerWorkspace, so steady-state localization reuses every buffer
-// instead of reallocating per round. Locate is the one pipeline: given a
-// thread pool it fans the per-anchor maps out on it, which is how
+// spectra -> fuse -> score). Per-round state lives in a caller-owned
+// LocalizerWorkspace; the map stage's scratch (anchor maps, kernel buffers)
+// belongs to the executing thread. Steady-state localization reuses every
+// buffer instead of reallocating per round. Locate is the one pipeline:
+// given a thread pool it fans the per-anchor maps out on it, which is how
 // LocalizationEngine (bloc/engine.h) runs it, with bit-identical results.
 // The map stage is one code path too: every anchor's Eq. 17 map runs over a
 // cell window, the whole grid unless the caller sets a gate (SearchGate,
@@ -107,20 +108,24 @@ struct SearchScratch {
   SearchStats stats;
 };
 
-/// All per-round scratch of the staged pipeline. Owned by the caller (one
-/// per engine worker); every buffer is reused round after round, so the
-/// steady state performs no heap allocations for a fixed deployment shape.
+/// The per-round state of the staged pipeline, owned by the caller (one
+/// per tag or engine worker); every buffer is reused round after round, so
+/// the steady state performs no heap allocations for a fixed deployment
+/// shape. The map stage's scratch is not here: the anchor maps belong to
+/// the thread that calls Locate/FusedMapInto, and each thread that runs an
+/// anchor map brings its own SpectraWorkspace (both thread_local in
+/// localizer.cc). That keeps a workspace small — 56 KB after a fig9
+/// round, 43 KB of it `fused`, against 552 KB when it also held the maps
+/// and kernel scratch — and a thread serving many tags on warm buffers.
 struct LocalizerWorkspace {
   RoundView view;
   CorrectedChannels corrected;
   /// Anchor indices into `corrected.anchors` in fusion order (ascending
   /// anchor id) — fixed so threaded and serial runs fuse identically.
   std::vector<std::size_t> fuse_order;
-  /// One map per anchor in fuse order, so maps can be computed concurrently
-  /// and then fused in a fixed order.
+  /// Caller buffers for staged AnchorMapInto calls (a map and its kernel
+  /// scratch). The map stage itself never reads or writes them.
   std::vector<dsp::Grid2D> anchor_maps;
-  /// Kernel scratch per executing slot (ThreadPool::ParallelFor slot id;
-  /// the serial path uses slot 0).
   std::vector<SpectraWorkspace> spectra;
   /// Fused map, shared-ptr-owned so keep_map hands the round's map to the
   /// result without a deep copy; the next round allocates a fresh grid only
@@ -151,7 +156,8 @@ class Localizer {
   /// finite (a non-finite CSI sample poisons the maps).
   LocationResult Locate(const net::MeasurementRound& round) const;
 
-  /// Allocation-free variant: all scratch lives in the caller's workspace.
+  /// Allocation-free variant: per-round state lives in the caller's
+  /// workspace, map-stage scratch in the executing threads' own buffers.
   /// `map_pool` is the anchor-map executor: nullptr computes the round's
   /// per-anchor maps serially on the caller; a pool fans them out with
   /// ParallelFor (the caller takes part, so this is safe from inside a
@@ -170,8 +176,10 @@ class Localizer {
 
   /// The map stage of Locate over an already-corrected round: (re)derives
   /// ws.fuse_order from ws.corrected and builds the fused map into
-  /// ws.EnsureFused(), over ws.gate's window when it is active. `map_pool`
-  /// fans the per-anchor maps out as in Locate (bit-identical either way).
+  /// ws.EnsureFused(), over ws.gate's window when it is active. The anchor
+  /// maps are the calling thread's; `map_pool` fans them out as in Locate,
+  /// each helper computing into the caller's maps with its own kernel
+  /// scratch (bit-identical either way).
   void FusedMapInto(LocalizerWorkspace& ws,
                     const dsp::ThreadPool* map_pool = nullptr) const;
 

@@ -91,7 +91,9 @@ struct CellSpan {
 /// comb, the antenna-position cache and the steering-plan kernel's band
 /// table, terms and accumulators. Reusing one workspace across calls makes
 /// the in-place map variants allocation-free in steady state: the term and
-/// accumulator buffers only grow, to the largest plan seen.
+/// accumulator buffers only grow, to the largest plan seen (~320 KB after
+/// the 4 fig9 anchors). The Localizer's map stage keeps one per executing
+/// thread (thread_local), so every tag that thread serves runs on it warm.
 struct SpectraWorkspace {
   std::vector<dsp::CVec> dense;       // comb values per antenna
   std::vector<std::size_t> k_of;      // band index -> comb step
@@ -104,7 +106,8 @@ struct SpectraWorkspace {
   /// The round's band table of the plan kernel (full map or window).
   BandTable table;
   /// One antenna's chunk terms as (re, im) pairs (SteeringPlan::max_lanes()
-  /// lanes): a cell's gather reads both parts from one cache line.
+  /// lanes): a cell's gather reads both parts from one cache line. 64-byte
+  /// aligned, as the chunk_terms kernel requires (dsp/simd_dispatch.h).
   dsp::AlignedVec<double> terms;
   /// Per-cell coherent sums over the antennas (one per grid cell).
   dsp::SplitComplexVec acc;

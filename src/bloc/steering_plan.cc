@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -402,6 +403,9 @@ void AccumulateSpans(const SteeringPlan& plan, const BandTable& table,
   Grow(ws.acc.re, total);
   Grow(ws.acc.im, total);
   double* term = ws.terms.data();
+  if (reinterpret_cast<std::uintptr_t>(term) % 64 != 0) {
+    throw std::logic_error("plan kernel: chunk terms not 64-byte aligned");
+  }
   const std::size_t antennas = plan.num_antennas();
   for (std::size_t j = 0; j < antennas; ++j) {
     const SteeringPlan::AntennaChunks ch = plan.chunks(j);

@@ -14,7 +14,7 @@ CliArgs::CliArgs(int argc, char** argv) {
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     if (eq == std::string_view::npos) {
-      values_[std::string(arg)] = "1";
+      values_[std::string(arg)] = std::string("1");
     } else {
       values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
     }

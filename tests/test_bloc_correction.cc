@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "bloc/corrected_channel.h"
+#include "bloc/localizer.h"
 #include "dsp/complex_ops.h"
 #include "dsp/rng.h"
 
@@ -156,6 +157,51 @@ TEST(CorrectedChannels, RejectsNoCommonBands) {
   stray.master_csi.assign(4, cplx{1, 0});
   s.round.reports[1].bands.push_back(stray);
   EXPECT_THROW(ComputeCorrectedChannels(s.round), std::invalid_argument);
+}
+
+TEST(CorrectedChannels, FirstKeptBandWinsAndFilteredChannelDrops) {
+  SyntheticRound s = MakeSynthetic(8);
+  // The oracle: the same round without channel 3 and without the repeat.
+  net::MeasurementRound clean = s.round;
+  for (anchor::CsiReport& report : clean.reports) {
+    std::erase_if(report.bands, [](const anchor::BandMeasurement& band) {
+      return band.data_channel == 3;
+    });
+  }
+  const CorrectedChannels want = ComputeCorrectedChannels(clean);
+
+  // Slave 2 repeats channel 1 later in its report with other CSI: the first
+  // kept entry is the one that counts.
+  auto& bands = s.round.reports[2].bands;
+  anchor::BandMeasurement repeat = bands[1];
+  for (cplx& h : repeat.tag_csi) h *= cplx{0.0, 2.0};
+  for (cplx& h : repeat.master_csi) h *= cplx{-1.0, 0.5};
+  bands.insert(bands.begin() + 3, repeat);
+
+  Deployment deployment;
+  for (std::uint32_t id = 1; id <= 3; ++id) {
+    AnchorPose pose;
+    pose.id = id;
+    pose.is_master = id == 1;
+    pose.geometry.origin = {static_cast<double>(id), 0.0};
+    deployment.anchors.push_back(pose);
+  }
+  LocalizerConfig config;
+  config.allowed_channels = {0, 1, 2, 4};
+  const Localizer localizer(deployment, config);
+  RoundView view;
+  ASSERT_TRUE(localizer.FilterInto(s.round, view));
+  CorrectedChannels got;
+  localizer.CorrectInto(view, got);
+
+  EXPECT_EQ(got.band_channels, (std::vector<std::uint8_t>{0, 1, 2, 4}));
+  EXPECT_EQ(got.band_channels, want.band_channels);
+  EXPECT_EQ(got.band_freqs_hz, want.band_freqs_hz);
+  ASSERT_EQ(got.anchors.size(), want.anchors.size());
+  for (std::size_t i = 0; i < got.anchors.size(); ++i) {
+    EXPECT_EQ(got.anchors[i].anchor_id, want.anchors[i].anchor_id);
+    EXPECT_EQ(got.anchors[i].alpha, want.anchors[i].alpha) << "anchor " << i;
+  }
 }
 
 // Property: the corrected channels are *invariant* to the LO phases — two

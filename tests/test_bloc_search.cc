@@ -48,9 +48,10 @@ void ExpectSamePosition(const LocationResult& a, const LocationResult& b) {
   EXPECT_EQ(a.score, b.score);
 }
 
-/// Every anchor map of the round in `ws` is the full map's cells divided by
-/// their maximum over the round's window (zero outside), and the fused map
-/// is their sum in anchor-id order — bit for bit.
+/// Every anchor map of the round in `ws`, as AnchorMapInto computes it over
+/// the round's window, is the full map's cells divided by their maximum
+/// over that window (zero outside), and the fused map is their sum in
+/// anchor-id order — bit for bit.
 void ExpectWindowedMaps(const Localizer& localizer, LocalizerWorkspace& ws) {
   const CellWindow& w = ws.search.window;
   const dsp::GridSpec& grid = localizer.config().grid;
@@ -76,7 +77,11 @@ void ExpectWindowedMaps(const Localizer& localizer, LocalizerWorkspace& ws) {
       }
     }
     ASSERT_GT(m, 0.0);
-    const dsp::Grid2D& map = ws.anchor_maps[i];
+    dsp::Grid2D map;
+    SpectraWorkspace map_ws;
+    EXPECT_EQ(localizer.AnchorMapInto(ws.corrected, ws.fuse_order[i], map,
+                                      map_ws, &w),
+              m);
     for (std::size_t row = 0; row < grid.Rows(); ++row) {
       for (std::size_t col = 0; col < grid.Cols(); ++col) {
         const double want = inside(col, row) ? full.At(col, row) / m : 0.0;

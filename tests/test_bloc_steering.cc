@@ -222,7 +222,7 @@ TEST(SteeringPlan, ChunkLayoutBracketsRelativeDistance) {
       }
       EXPECT_LE(padding, (kLanes - 1) * intervals) << "antenna " << j;
       for (const dsp::simd::Isa isa : SupportedIsas()) {
-        std::vector<double> term(2 * ch.lanes(), 1.0);
+        dsp::AlignedVec<double> term(2 * ch.lanes(), 1.0);
         dsp::simd::ForIsa(isa).chunk_terms(table.data(), ch.interval, ch.frac,
                                            ch.base_re, ch.base_im, term.data(),
                                            ch.count);

@@ -6,6 +6,7 @@
 #include <random>
 #include <vector>
 
+#include "dsp/aligned.h"
 #include "dsp/simd_dispatch.h"
 
 namespace bloc::dsp::simd {
@@ -147,7 +148,7 @@ TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
     for (double& f : frac) f = 0.5 * (f + 1.0);  // [0, 1)
     const std::vector<double> base_re = random(lanes);
     const std::vector<double> base_im = random(lanes);
-    std::vector<double> ref_term(2 * lanes);
+    dsp::AlignedVec<double> ref_term(2 * lanes);
     ref.chunk_terms(table.data(), interval.data(), frac.data(), base_re.data(),
                     base_im.data(), ref_term.data(), chunks);
     std::vector<std::uint32_t> lane(lanes + 5);
@@ -159,7 +160,7 @@ TEST(SimdDispatch, KernelsBitIdenticalAcrossIsas) {
     for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
       if (!IsaSupported(isa)) continue;
       const Kernels& alt = ForIsa(isa);
-      std::vector<double> term(2 * lanes);
+      dsp::AlignedVec<double> term(2 * lanes);
       alt.chunk_terms(table.data(), interval.data(), frac.data(),
                       base_re.data(), base_im.data(), term.data(), chunks);
       ASSERT_EQ(ref_term, term) << "chunk_terms " << IsaName(isa);
@@ -262,7 +263,7 @@ TEST(SimdDispatch, EveryIsaMatchesPerCellFormulas) {
     for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
       if (!IsaSupported(isa)) continue;
       const Kernels& k = ForIsa(isa);
-      std::vector<double> term(2 * lanes);
+      dsp::AlignedVec<double> term(2 * lanes);
       k.chunk_terms(table.data(), interval.data(), frac.data(), base_re.data(),
                     base_im.data(), term.data(), chunks);
       for (std::size_t l = 0; l < lanes; ++l) {
