@@ -69,10 +69,11 @@ int main(int argc, char** argv) {
   core::LocalizerConfig config;
   config.grid = grid;
   config.keep_map = true;
-  // Engine path: the per-anchor maps above are recomputed concurrently.
+  // Engine path: a one-round batch recomputes the per-anchor maps above
+  // concurrently.
   core::LocalizationEngine engine(deployment, config,
                                   {.threads = args.Threads()});
-  const core::LocationResult result = engine.Locate(round);
+  const core::LocationResult result = engine.LocateBatch({&round, 1})[0];
   eval::PrintHeatmap(std::cout, *result.fused_map);
   std::cout << "\nBLoc estimate: (" << eval::Fmt(result.position.x, 2) << ", "
             << eval::Fmt(result.position.y, 2) << "), error "

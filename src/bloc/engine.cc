@@ -5,19 +5,25 @@
 
 namespace bloc::core {
 
+namespace {
+
+/// The per-round state of the round the calling thread executes. A thread
+/// runs one round at a time (ParallelFor's caller only runs indices of its
+/// own call, and a round's map helpers run anchor maps, not rounds), so the
+/// workspace is never shared, and it stays warm across every round and tag
+/// the thread serves.
+LocalizerWorkspace& ThreadWorkspace() {
+  thread_local LocalizerWorkspace workspace;
+  return workspace;
+}
+
+}  // namespace
+
 LocalizationEngine::LocalizationEngine(Deployment deployment,
                                        LocalizerConfig config,
                                        EngineOptions options)
     : localizer_(std::move(deployment), std::move(config)),
-      pool_(options.threads),
-      workspaces_(pool_.size()) {
-  free_workspaces_.reserve(workspaces_.size());
-  for (LocalizerWorkspace& ws : workspaces_) free_workspaces_.push_back(&ws);
-}
-
-LocationResult LocalizationEngine::Locate(const net::MeasurementRound& round) {
-  return localizer_.Locate(round, workspaces_[0], &pool_);
-}
+      pool_(options.threads) {}
 
 std::vector<LocationResult> LocalizationEngine::LocateBatch(
     std::span<const net::MeasurementRound> rounds) {
@@ -30,46 +36,24 @@ std::vector<LocationResult> LocalizationEngine::LocateBatch(
   // One round per worker. Each round offers its maps to the pool too: a
   // batch too small to occupy every worker fans them out over the idle
   // ones, and in a full batch each worker simply runs its own anchors.
-  pool_.ParallelFor(rounds.size(), [&](std::size_t i, std::size_t slot) {
-    results[i] = localizer_.Locate(rounds[i], workspaces_[slot], &pool_);
+  pool_.ParallelFor(rounds.size(), [&](std::size_t i, std::size_t) {
+    results[i] = localizer_.Locate(rounds[i], ThreadWorkspace(), &pool_);
   });
   return results;
 }
 
-LocalizerWorkspace* LocalizationEngine::AcquireWorkspace() {
-  std::lock_guard<std::mutex> lock(workspace_mutex_);
-  LocalizerWorkspace* ws = free_workspaces_.back();
-  free_workspaces_.pop_back();
-  return ws;
-}
-
-void LocalizationEngine::ReleaseWorkspace(LocalizerWorkspace* ws) {
-  std::lock_guard<std::mutex> lock(workspace_mutex_);
-  free_workspaces_.push_back(ws);
-}
-
-std::future<void> LocalizationEngine::LocateAsync(
+void LocalizationEngine::LocateAsync(
     const net::MeasurementRound& round, LocationResult& out,
-    std::function<void()> on_ready) {
-  auto done = std::make_shared<std::promise<void>>();
-  std::future<void> future = done->get_future();
-  pool_.Submit([this, &round, &out, done, on_ready = std::move(on_ready)] {
-    LocalizerWorkspace* ws = AcquireWorkspace();
+    std::function<void(std::exception_ptr)> on_done) {
+  pool_.Submit([this, &round, &out, on_done = std::move(on_done)] {
     std::exception_ptr error;
     try {
-      out = localizer_.Locate(round, *ws, &pool_);
+      out = localizer_.Locate(round, ThreadWorkspace(), &pool_);
     } catch (...) {
-      error = std::current_exception();  // rethrown to the caller by the future
+      error = std::current_exception();
     }
-    ReleaseWorkspace(ws);
-    if (error) {
-      done->set_exception(error);
-    } else {
-      done->set_value();
-    }
-    if (on_ready) on_ready();
+    on_done(error);
   });
-  return future;
 }
 
 }  // namespace bloc::core

@@ -91,8 +91,8 @@ struct CellSpan {
 /// comb, the antenna-position cache and the steering-plan kernel's band
 /// table, terms and accumulators. Reusing one workspace across calls makes
 /// the in-place map variants allocation-free in steady state: the term and
-/// accumulator buffers only grow, to the largest plan seen (~320 KB after
-/// the 4 fig9 anchors). The Localizer's map stage keeps one per executing
+/// accumulator buffers only grow, to the largest plan's exact need (~245 KB
+/// after the 4 fig9 anchors). The Localizer's map stage keeps one per executing
 /// thread (thread_local), so every tag that thread serves runs on it warm.
 struct SpectraWorkspace {
   std::vector<dsp::CVec> dense;       // comb values per antenna

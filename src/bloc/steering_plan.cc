@@ -370,11 +370,15 @@ void BuildGridTable(const SpectraInput& input, const SteeringPlan& plan,
   BuildBandTable(input, plan, ws.table, ws);
 }
 
-/// Grows `v` to at least `n` elements and never shrinks it, so a workspace
-/// shared by several plans settles at the largest and stops allocating.
+/// Grows `v` to `n` elements with no slack (resize alone grows capacity
+/// geometrically) and never shrinks it, so a workspace shared by several
+/// plans settles at the largest plan's exact need and stops allocating.
 template <typename Vec>
 void Grow(Vec& v, std::size_t n) {
-  if (v.size() < n) v.resize(n);
+  if (v.size() < n) {
+    v.reserve(n);
+    v.resize(n);
+  }
 }
 
 /// The antenna sum of every cell of `spans`: per antenna, in antenna

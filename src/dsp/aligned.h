@@ -54,15 +54,6 @@ struct SplitComplexVec {
     re.resize(n);
     im.resize(n);
   }
-  void Zero() {
-    re.assign(re.size(), 0.0);
-    im.assign(im.size(), 0.0);
-  }
-  /// Resize to `n` and set every element to zero.
-  void ResetZero(std::size_t n) {
-    re.assign(n, 0.0);
-    im.assign(n, 0.0);
-  }
 };
 
 }  // namespace bloc::dsp

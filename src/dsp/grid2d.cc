@@ -40,10 +40,6 @@ void Grid2D::Reset(const GridSpec& spec, double fill) {
   data_.assign(cols_ * rows_, fill);
 }
 
-void Grid2D::Fill(double value) {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
 double& Grid2D::At(std::size_t col, std::size_t row) {
   return data_[row * cols_ + col];
 }

@@ -38,9 +38,6 @@ class Grid2D {
   /// with a given spec, repeated Resets are allocation-free.
   void Reset(const GridSpec& spec, double fill = 0.0);
 
-  /// Sets every cell to `value` without changing the shape.
-  void Fill(double value);
-
   double& At(std::size_t col, std::size_t row);
   double At(std::size_t col, std::size_t row) const;
 

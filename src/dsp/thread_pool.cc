@@ -1,10 +1,38 @@
 #include "dsp/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cassert>
 #include <exception>
 
 namespace bloc::dsp {
+
+namespace {
+
+/// Moves the calling worker onto the `index`-th CPU it may use, then lets it
+/// run anywhere again. New threads start on their creator's CPU, where a VM's
+/// scheduler was seen to leave them for ~1 s of fan-outs, which then ran
+/// serially on the caller; after one move each worker wakes on its own CPU.
+void SpreadOntoCpu(std::size_t index) {
+#ifdef __linux__
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  auto skip = index % static_cast<std::size_t>(CPU_COUNT(&allowed));
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+      sched_setaffinity(0, sizeof(allowed), &allowed);
+    }
+    return;
+  }
+#endif
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads)
     : submitted_metric_(obs::GetCounter("dsp.thread_pool.submitted")),
@@ -19,7 +47,10 @@ ThreadPool::ThreadPool(std::size_t num_threads)
   if (size_ == 1) return;  // inline mode: no workers, no queue traffic
   workers_.reserve(size_);
   for (std::size_t i = 0; i < size_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, i] {
+      SpreadOntoCpu(i);
+      WorkerLoop();
+    });
   }
 }
 

@@ -2,7 +2,8 @@
 // a mutex-guarded task queue, no external dependencies. A pool of size 1
 // owns no threads at all: Submit and ParallelFor run inline on the calling
 // thread, so single-threaded users pay zero scheduling overhead. Larger
-// pools run ParallelFor on the caller plus queued helpers.
+// pools run ParallelFor on the caller plus queued helpers; each worker
+// starts on its own CPU, so a fresh pool's first fan-out already spreads.
 //
 // Observability (DESIGN.md §5d): every pool shares the registry metrics
 //   dsp.thread_pool.submitted / completed  (counters)

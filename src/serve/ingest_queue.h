@@ -96,13 +96,6 @@ class BoundedMpscQueue {
 
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
-  /// Entries currently resident, as a racy estimate (exact when quiescent).
-  std::size_t ApproxDepth() const noexcept {
-    const std::size_t enq = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::size_t deq = dequeue_pos_.load(std::memory_order_relaxed);
-    return enq >= deq ? enq - deq : 0;
-  }
-
  private:
   struct alignas(64) Cell {
     std::atomic<std::size_t> seq{0};

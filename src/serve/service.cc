@@ -367,17 +367,22 @@ void LocalizationService::AdmitRound(std::size_t worker,
                                      AssemblingRound&& round) {
   const Metrics& metrics = Metrics::Get();
   // Engine admission control: at the in-flight bound the assembler stalls
-  // (sweeping its shards so completions retire) instead of queueing rounds
-  // without limit. The stall propagates: rings fill, producers get refusals.
+  // (sweeping its shards so completions retire, and sleeping until the next
+  // one when none did) instead of queueing rounds without limit. The stall
+  // propagates: rings fill, producers get refusals.
   while (inflight_locates_.load(std::memory_order_acquire) >=
          options_.max_inflight_locates) {
     lock.unlock();
+    const std::uint64_t frames_seen = admitted_frames_.load();
+    const std::uint64_t locates_seen = locates_done_.load();
     std::size_t retired = 0;
     for (std::size_t s = worker; s < shards_.size();
          s += options_.assembler_threads) {
       retired += SweepCompletions(*shards_[s]);
     }
-    if (retired == 0) std::this_thread::yield();
+    if (retired == 0) {
+      WaitForWork(frames_seen, locates_seen, options_.round_timeout);
+    }
     lock.lock();
   }
 
@@ -390,14 +395,19 @@ void LocalizationService::AdmitRound(std::size_t worker,
   metrics.inflight.Add(1);
   completed_rounds_.fetch_add(1, std::memory_order_relaxed);
   metrics.completed.Inc();
-  // The engine pool localizes on the existing workspace free list, fanning
-  // the round's anchor maps out across idle workers; with an inline pool
-  // (engine_threads = 1) this runs right here on the assembler.
-  node->done = engine_.LocateAsync(node->round, node->result, [this] {
-    locates_done_.fetch_add(1);
-    if (sleepers_.load() > 0) WakeAssemblers();
-  });
+  // The engine pool localizes the round, fanning its anchor maps out across
+  // idle workers; with an inline pool (engine_threads = 1) this runs right
+  // here on the assembler.
+  InflightLocate* inflight = node.get();
   shard.inflight.push_back(std::move(node));
+  engine_.LocateAsync(inflight->round, inflight->result,
+                      [this, inflight](std::exception_ptr error) {
+                        inflight->error = std::move(error);
+                        inflight->done.store(true, std::memory_order_release);
+                        // The node may be recycled from here on.
+                        locates_done_.fetch_add(1);
+                        if (sleepers_.load() > 0) WakeAssemblers();
+                      });
 }
 
 std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
@@ -409,8 +419,7 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
     // Front-first delivery keeps per-tag updates in round order even when
     // the pool finishes later rounds before earlier ones.
     while (!shard.inflight.empty() &&
-           shard.inflight.front()->done.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
+           shard.inflight.front()->done.load(std::memory_order_acquire)) {
       std::unique_ptr<InflightLocate> node = std::move(shard.inflight.front());
       shard.inflight.pop_front();
       ++retired;
@@ -421,9 +430,7 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
         session->inflight -= 1;
         session->last_activity_ns = now;
       }
-      try {
-        node->done.get();
-      } catch (...) {
+      if (node->error) {
         // The round is lost, not the service: drop it, count it, and keep
         // delivering this tag's later rounds and every other tag's.
         locate_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -552,7 +559,8 @@ std::unique_ptr<InflightLocate> LocalizationService::AcquireNode() {
 void LocalizationService::RecycleNode(std::unique_ptr<InflightLocate> node) {
   node->result = core::LocationResult{};
   node->round.reports.clear();  // keeps capacity; bands free their memory
-  node->done = std::future<void>{};
+  node->error = nullptr;
+  node->done.store(false, std::memory_order_relaxed);
   std::lock_guard lock(node_pool_mutex_);
   if (node_pool_.size() < 2 * options_.max_inflight_locates) {
     node_pool_.push_back(std::move(node));

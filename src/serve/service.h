@@ -17,8 +17,9 @@
 //    serial Localizer / EvaluateBloc path (the service adds no math).
 //  - Bounded memory: rings are fixed-capacity, round assembly is bounded by
 //    max_assembling_rounds x shed policy, engine admission is bounded by
-//    max_inflight_locates (saturation stalls the assembler, which fills the
-//    rings, which refuses producers — backpressure end to end), and
+//    max_inflight_locates (saturation puts the assembler to sleep until a
+//    round completes, the rings fill, producers are refused — backpressure
+//    end to end), and
 //    round-timeout GC expires partial rounds from lossy anchors.
 //
 // Per-round failures are contained: a round whose Locate throws (say, a
@@ -203,13 +204,13 @@ class LocalizationService : public net::MessageSink {
                 std::unique_lock<std::mutex>& lock, TagFrame&& frame);
   /// Hands a completed round to the engine, stalling while the in-flight
   /// bound is hit; caller holds the shard mutex (released while stalled so
-  /// the worker can sweep its shards' completions).
+  /// the worker can sweep its shards' completions and wait for the next).
   void AdmitRound(std::size_t worker, TagSessionShard& shard,
                   std::unique_lock<std::mutex>& lock, std::uint64_t tag_id,
                   std::uint64_t round_id, AssemblingRound&& round);
-  /// Retires every ready completion at the front of the shard's FIFO:
-  /// delivers its update, or drops and counts the round when its Locate
-  /// threw. Returns the number retired. Callbacks run outside the mutex.
+  /// Retires every done round at the front of the shard's FIFO: delivers
+  /// its update, or drops and counts the round when its Locate threw.
+  /// Returns the number retired. Callbacks run outside the mutex.
   std::size_t SweepCompletions(TagSessionShard& shard);
   /// Round-timeout and idle-session GC over one shard.
   void CollectGarbage(TagSessionShard& shard, std::uint64_t now_ns);
@@ -219,8 +220,8 @@ class LocalizationService : public net::MessageSink {
 
   ServiceOptions options_;
 
-  /// Idle assemblers sleep on wake_cv_. Declared before engine_ so they
-  /// outlive the pool, whose workers notify after each locate.
+  /// Idle and stalled assemblers sleep on wake_cv_. Declared before engine_
+  /// so they outlive the pool, whose workers notify after each locate.
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   std::atomic<std::size_t> sleepers_{0};

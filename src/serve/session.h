@@ -3,14 +3,16 @@
 // assembly, partitioned into N independent shards keyed by hash(tag_id).
 // Each shard owns one bounded lock-free ingest ring (producers never take a
 // lock) and one mutex covering its session table — taken only by the
-// shard's assembler and by Poll(), never by another shard's traffic.
+// shard's assembler and by Poll(), never by another shard's traffic. A
+// round in the engine waits in its shard's admission-order FIFO and
+// completes by a done flag the engine's completion sets.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,14 +104,19 @@ struct TagSession {
 
 /// A completed round riding through LocalizationEngine::LocateAsync. The
 /// node is stable storage for the round and result (LocateAsync holds
-/// references until the future resolves); nodes are recycled through the
+/// references until its completion runs); nodes are recycled through the
 /// service free list so the steady state allocates only inside reports.
 struct InflightLocate {
   std::uint64_t tag_id = 0;
   std::uint64_t first_ingest_ns = 0;
   net::MeasurementRound round;
   core::LocationResult result;
-  std::future<void> done;
+  /// What Locate threw, or nullptr; written before `done`.
+  std::exception_ptr error;
+  /// Set (release) by the engine's completion once `result` and `error`
+  /// are written; the assembler reads it (acquire) and may then recycle the
+  /// node, so the completion touches nothing of the node after the store.
+  std::atomic<bool> done{false};
 };
 
 /// One lock domain of the service. Producers touch only `ring` (lock-free);

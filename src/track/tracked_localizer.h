@@ -57,7 +57,7 @@ struct TrackedFix {
 /// Per-tag tracking session over a shared Localizer. Not thread-safe: one
 /// instance per tag per thread. The serve layer does not use it yet: its
 /// TagSessions run a bare, ungated KalmanTracker after a full-grid Locate
-/// (ROADMAP item 3). The Localizer must outlive the TrackedLocalizer.
+/// (ROADMAP item 5). The Localizer must outlive the TrackedLocalizer.
 class TrackedLocalizer {
  public:
   explicit TrackedLocalizer(const core::Localizer& localizer,

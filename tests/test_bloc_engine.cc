@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <future>
-#include <thread>
+#include <condition_variable>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "bloc/engine.h"
@@ -60,9 +62,12 @@ TEST(LocalizationEngine, ThreadCountsAreBitIdenticalToSerial) {
 TEST(LocalizationEngine, PerAnchorParallelLocateMatchesSerial) {
   const Localizer serial(Rounds().deployment, Config());
   LocalizationEngine four(Rounds().deployment, Config(), {.threads = 4});
+  // A one-round batch fans that round's maps out over the pool.
   for (std::size_t i = 0; i < 4; ++i) {
-    ExpectIdentical(four.Locate(Rounds().rounds[i]),
-                    serial.Locate(Rounds().rounds[i]));
+    const auto results =
+        four.LocateBatch(std::span(Rounds().rounds).subspan(i, 1));
+    ASSERT_EQ(results.size(), 1u);
+    ExpectIdentical(results[0], serial.Locate(Rounds().rounds[i]));
   }
 }
 
@@ -77,45 +82,83 @@ TEST(LocalizationEngine, BatchSmallerThanPoolFansOutBitIdentical) {
   }
 }
 
+/// Records LocateAsync completions; declare it before the engine so it
+/// outlives the workers that run `on_done`.
+class Completions {
+ public:
+  std::function<void(std::exception_ptr)> OnDone() {
+    return [this](std::exception_ptr error) {
+      std::lock_guard lock(mutex_);
+      errors_.push_back(error);
+      cv_.notify_all();
+    };
+  }
+  /// Waits until `n` rounds completed; returns their errors in completion
+  /// order (nullptr for a round that localized).
+  std::vector<std::exception_ptr> WaitFor(std::size_t n) {
+    std::unique_lock lock(mutex_);
+    EXPECT_TRUE(cv_.wait_for(lock, std::chrono::seconds(30),
+                             [&] { return errors_.size() >= n; }));
+    return errors_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<std::exception_ptr> errors_;
+};
+
 TEST(LocalizationEngine, LocateAsyncFansOutBitIdenticalToSerial) {
   const Localizer serial(Rounds().deployment, Config());
   const std::size_t n = Rounds().rounds.size();
   std::vector<LocationResult> results(n);
-  std::atomic<std::size_t> ready{0};  // outlives the engine's workers
+  Completions completions;
   LocalizationEngine four(Rounds().deployment, Config(), {.threads = 4});
-  // One round alone fans its maps out over idle workers; then every round
-  // at once saturates the pool, so most rounds compute their own maps.
-  four.LocateAsync(Rounds().rounds[0], results[0], [&] { ++ready; }).get();
-  std::vector<std::future<void>> pending;
+  // One round alone fans its maps out over idle workers.
+  four.LocateAsync(Rounds().rounds[0], results[0], completions.OnDone());
+  completions.WaitFor(1);
+  // Then every round at once saturates the pool, so most rounds compute
+  // their own maps, and a batch on the same engine runs alongside them:
+  // each round's workspace belongs to the thread that executes it.
   for (std::size_t i = 1; i < n; ++i) {
-    pending.push_back(
-        four.LocateAsync(Rounds().rounds[i], results[i], [&] { ++ready; }));
+    four.LocateAsync(Rounds().rounds[i], results[i], completions.OnDone());
   }
-  for (auto& f : pending) f.get();
+  const std::vector<LocationResult> batch = four.LocateBatch(Rounds().rounds);
+  const std::vector<std::exception_ptr> errors = completions.WaitFor(n);
+  ASSERT_EQ(errors.size(), n);
+  ASSERT_EQ(batch.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    ExpectIdentical(results[i], serial.Locate(Rounds().rounds[i]));
+    EXPECT_EQ(errors[i], nullptr);
+    const LocationResult reference = serial.Locate(Rounds().rounds[i]);
+    ExpectIdentical(results[i], reference);
+    ExpectIdentical(batch[i], reference);
   }
-  // on_ready runs after the future resolves, so wait for the last ones.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (ready.load() < n && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(ready.load(), n);
 }
 
-TEST(LocalizationEngine, LocateAsyncFutureCarriesLocateErrors) {
-  LocalizationEngine engine(Rounds().deployment, Config(), {.threads = 4});
-  net::MeasurementRound round = Rounds().rounds[0];
-  const std::size_t victim = round.reports[0].is_master ? 1 : 0;
-  round.reports[victim].bands.back().tag_csi.pop_back();  // truncated CSI
-  LocationResult out;
-  EXPECT_ANY_THROW(engine.LocateAsync(round, out).get());
-  // The engine keeps serving: its workspace went back to the free list.
-  LocationResult ok;
-  engine.LocateAsync(Rounds().rounds[1], ok).get();
-  ExpectIdentical(ok, Localizer(Rounds().deployment, Config())
-                          .Locate(Rounds().rounds[1]));
+TEST(LocalizationEngine, LocateAsyncHandsLocateErrorsToOnDone) {
+  net::MeasurementRound bad = Rounds().rounds[0];
+  const std::size_t victim = bad.reports[0].is_master ? 1 : 0;
+  bad.reports[victim].bands.back().tag_csi.pop_back();  // truncated CSI
+  const LocationResult reference =
+      Localizer(Rounds().deployment, Config()).Locate(Rounds().rounds[1]);
+  // An inline pool runs the round before LocateAsync returns; a real pool
+  // runs it on a worker.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    Completions completions;
+    LocalizationEngine engine(Rounds().deployment, Config(),
+                              {.threads = threads});
+    LocationResult out;
+    engine.LocateAsync(bad, out, completions.OnDone());
+    const std::exception_ptr error = completions.WaitFor(1)[0];
+    ASSERT_NE(error, nullptr);
+    EXPECT_ANY_THROW(std::rethrow_exception(error));
+    // The engine keeps serving.
+    LocationResult ok;
+    engine.LocateAsync(Rounds().rounds[1], ok, completions.OnDone());
+    EXPECT_EQ(completions.WaitFor(2)[1], nullptr);
+    ExpectIdentical(ok, reference);
+  }
 }
 
 TEST(LocalizationEngine, WorkspaceReuseDoesNotLeakStateAcrossRounds) {

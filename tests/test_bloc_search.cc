@@ -297,7 +297,8 @@ TEST(Search, EngineCoarseMatchesSerialExhaustive) {
   LocalizationEngine engine(Fig9().dataset.deployment,
                             CoarseConfig(Fig9().dataset), {.threads = 4});
   for (const auto& round : Fig9().dataset.rounds) {
-    ExpectSamePosition(engine.Locate(round), exhaustive.Locate(round));
+    ExpectSamePosition(engine.LocateBatch({&round, 1})[0],
+                       exhaustive.Locate(round));
   }
 }
 

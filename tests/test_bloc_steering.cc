@@ -7,6 +7,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -259,6 +260,32 @@ TEST(SteeringPlan, Fig9PlanNoLargerThanCellMajorLayout) {
   }
 }
 
+/// A workspace shared by several plans grows its kernel scratch to the
+/// largest plan's exact need, not to a vector's geometric capacity.
+TEST(SteeringPlan, WorkspaceScratchGrowsToTheLargestPlanExactly) {
+  sim::DatasetOptions options;
+  options.locations = 1;
+  const sim::Dataset dataset =
+      sim::GenerateDataset(sim::PaperTestbed(1), options);
+  const Localizer localizer(dataset.deployment,
+                            sim::PaperLocalizerConfig(dataset));
+  const CorrectedChannels corrected = localizer.CorrectedFor(dataset.rounds[0]);
+  ASSERT_EQ(corrected.anchors.size(), 4u);
+  SpectraWorkspace ws;
+  dsp::Grid2D map(localizer.config().grid);
+  std::size_t largest_terms = 0;
+  for (std::size_t a = 0; a < corrected.anchors.size(); ++a) {
+    const SpectraInput input = localizer.SpectraInputFor(corrected, a);
+    const SteeringPlan plan(
+        MakeSteeringPlanKey(input, localizer.config().grid));
+    JointLikelihoodMapInto(input, plan, map, ws);
+    largest_terms = std::max(largest_terms, 2 * plan.max_lanes());
+  }
+  EXPECT_EQ(ws.terms.capacity(), largest_terms);
+  EXPECT_EQ(ws.acc.re.capacity(), map.data().size());
+  EXPECT_EQ(ws.acc.im.capacity(), map.data().size());
+}
+
 TEST(SteeringPlan, KernelRejectsMismatchedPlan) {
   std::mt19937 rng(3);
   const RandomScene a = MakeRandomScene(rng);
@@ -401,14 +428,15 @@ TEST(SteeringPlanCache, PlanBuildsAmortizedAcrossRounds) {
                             sim::PaperLocalizerConfig(dataset),
                             {.threads = 2});
 
-  const LocationResult first = engine.Locate(dataset.rounds[0]);
+  const std::span<const net::MeasurementRound> rounds(dataset.rounds);
+  const LocationResult first = engine.LocateBatch(rounds.first(1))[0];
   EXPECT_GT(first.anchors_used, 0u);
   const std::size_t builds_after_first = engine.plan_cache().builds();
   EXPECT_EQ(builds_after_first, first.anchors_used);
 
-  engine.Locate(dataset.rounds[1]);
-  engine.LocateBatch(dataset.rounds);
-  engine.Locate(dataset.rounds[2]);
+  engine.LocateBatch(rounds.subspan(1, 1));
+  engine.LocateBatch(rounds);
+  engine.LocateBatch(rounds.subspan(2, 1));
   EXPECT_EQ(engine.plan_cache().builds(), builds_after_first);
   EXPECT_GT(engine.plan_cache().lookups(), builds_after_first);
 }

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -31,6 +32,29 @@ TEST(ThreadPool, DefaultSizeIsHardwareConcurrency) {
   EXPECT_EQ(pool.size(),
             std::max<std::size_t>(1, std::thread::hardware_concurrency()));
 }
+
+#ifdef __linux__
+// Each worker moves itself onto one CPU at start, then must give the CPU
+// mask back: tasks run with the whole process mask, never pinned.
+TEST(ThreadPool, WorkersKeepTheProcessCpuMask) {
+  cpu_set_t process;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+  ThreadPool pool(4);
+  std::atomic<int> pinned{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(pool.Submit([&] {
+      cpu_set_t mine;
+      if (sched_getaffinity(0, sizeof(mine), &mine) != 0 ||
+          !CPU_EQUAL(&mine, &process)) {
+        ++pinned;
+      }
+    }));
+  }
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(pinned.load(), 0);
+}
+#endif
 
 TEST(ThreadPool, SizeOneRunsInlineOnCaller) {
   ThreadPool pool(1);

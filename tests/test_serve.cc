@@ -477,23 +477,58 @@ TEST(LocalizationService, UnknownAnchorAndStoppedServiceRefuse) {
 }
 
 TEST(LocalizationService, EngineAdmissionBoundStallsWithoutDeadlock) {
-  ServiceOptions options;
-  options.shards = 2;
-  options.engine_threads = 2;       // real pool: futures resolve async
-  options.max_inflight_locates = 1; // assembler must stall and sweep
-  LocalizationService service(Rounds().deployment, Config(), options);
-  service.Start();
-
+  constexpr std::uint64_t kTags = 6;
+  constexpr std::uint64_t kRounds = 2;
+  constexpr std::uint64_t kBadTag = 2;  // its round 0 has a truncated tag_csi
   const std::size_t n = Rounds().rounds.size();
-  for (std::uint64_t t = 0; t < 6; ++t) SendRound(service, t, t % n, 0);
-  ASSERT_TRUE(service.Drain(kDrain));
-  for (std::uint64_t t = 0; t < 6; ++t) {
-    const auto update = service.Poll(t);
-    ASSERT_TRUE(update.has_value());
-    ExpectIdentical(update->result, Reference()[t % n]);
+  const auto dataset_round = [n](std::uint64_t tag, std::uint64_t round) {
+    return static_cast<std::size_t>((tag + round) % n);
+  };
+  // An inline pool completes each round on the assembler; a real pool
+  // completes it on a worker while the assembler waits.
+  for (const std::size_t engine_threads : {1u, 2u}) {
+    SCOPED_TRACE(engine_threads);
+    ServiceOptions options;
+    options.shards = 2;
+    options.engine_threads = engine_threads;
+    options.max_inflight_locates = 1;  // assembler must stall and sweep
+    LocalizationService service(Rounds().deployment, Config(), options);
+    // The whole burst waits in the rings before Start(), so the assembler
+    // meets the bound from its second round on.
+    for (std::uint64_t r = 0; r < kRounds; ++r) {
+      for (std::uint64_t t = 0; t < kTags; ++t) {
+        const std::size_t d = dataset_round(t, r);
+        const auto& reports = Rounds().rounds[d].reports;
+        const std::size_t victim = (MasterReportIndex(d) + 1) % reports.size();
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+          anchor::CsiReport frame = FrameFor(d, i, r);
+          if (t == kBadTag && r == 0 && i == victim) {
+            frame.bands.back().tag_csi.pop_back();
+          }
+          ASSERT_TRUE(service.Ingest(t, std::move(frame)));
+        }
+      }
+    }
+    service.Start();
+    ASSERT_TRUE(service.Drain(kDrain));
+
+    const ServiceCounters counters = service.Counters();
+    EXPECT_EQ(counters.completed_rounds, kTags * kRounds);
+    EXPECT_EQ(counters.locate_errors, 1u);
+    EXPECT_EQ(counters.localized_rounds, kTags * kRounds - 1);
+    EXPECT_EQ(service.InflightLocates(), 0u);
+    for (std::uint64_t t = 0; t < kTags; ++t) {
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        if (t == kBadTag && r == 0) continue;  // dropped, not delivered
+        const auto update = service.Poll(t);
+        ASSERT_TRUE(update.has_value());
+        EXPECT_EQ(update->round_id, r);
+        ExpectIdentical(update->result, Reference()[dataset_round(t, r)]);
+      }
+      EXPECT_FALSE(service.Poll(t).has_value());
+    }
+    service.Stop();
   }
-  EXPECT_EQ(service.InflightLocates(), 0u);
-  service.Stop();
 }
 
 TEST(LocalizationService, DefaultEngineUsesEveryCore) {
