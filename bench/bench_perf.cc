@@ -1,20 +1,13 @@
-// Performance microbenchmarks (google-benchmark): throughput of the
-// pipeline stages — GFSK modulation, CSI extraction, path solving, corrected
-// channels, the joint likelihood map, the wire codec, and the threaded
-// localization engine.
-//
-// After the microbenchmarks, regression sweeps run on the fig9 workload:
-// a single-thread comparison of the Eq. 17 kernels (steering-plan vs naive
-// reference, ms per fused 4-anchor map, plus the plan kernel's ns per
-// (cell, antenna) with its ISA, CPU model and core count), a rounds/sec
-// engine sweep for threads in {1, 2, 4}, and the full-PHY measurement
-// stage (planned fast path vs reference kernels, plus a measurement-thread
-// sweep). Pass
-// --json=PATH to dump everything as machine-readable JSON (the perf
-// trajectory baseline), --sweep-rounds=N to size the batch, --no-micro to
-// skip the google-benchmark section, --mode=localize|fullphy|dataset|obs|
+// Performance sweeps on the fig9 workload: a single-thread comparison of
+// the Eq. 17 kernels (steering-plan vs naive reference, ms per fused
+// 4-anchor map, plus the plan kernel's ns per (cell, antenna) with its ISA,
+// CPU model and core count), a rounds/sec engine sweep for threads in
+// {1, 2, 4}, and the full-PHY measurement stage (planned fast path vs
+// reference kernels, plus a measurement-thread sweep). Pass --json=PATH to
+// dump everything as machine-readable JSON (the perf trajectory baseline),
+// --sweep-rounds=N to size the batch, --mode=localize|fullphy|dataset|obs|
 // soak to run one sweep family only; --mode=soak --wire swaps the
-// in-process soak for a TCP-loopback smoke.
+// in-process soak for a TCP-loopback smoke. An unknown argument exits 1.
 // Repeated sweeps report bench::Stats (min/p50/stddev over warmup+reps) so
 // regressions can be told from run-to-run noise.
 //
@@ -38,10 +31,7 @@
 // external client can scrape /metrics and /healthz mid-run; --admin-scrape
 // additionally runs an in-bench scrape client per sweep point validating
 // interval counter deltas, bucket monotonicity and the health verdict.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -63,182 +53,18 @@
 #include "serve/service.h"
 #include "stats.h"
 #include "bloc/corrected_channel.h"
-#include "dsp/complex_ops.h"
 #include "bloc/engine.h"
-#include "dsp/fft.h"
+#include "dsp/simd_dispatch.h"
 #include "net/messages.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "phy/csi_extract.h"
-#include "phy/packet.h"
 #include "sim/dataset_io.h"
 #include "sim/experiment.h"
 
 namespace {
 
 using namespace bloc;
-
-const sim::Dataset& SharedDataset() {
-  static const sim::Dataset dataset = [] {
-    sim::DatasetOptions options;
-    options.locations = 4;
-    return sim::GenerateDataset(sim::PaperTestbed(1), options);
-  }();
-  return dataset;
-}
-
-void BM_GfskModulate(benchmark::State& state) {
-  const phy::Packet packet = phy::MakeLocalizationPacket(10, 0x50C0FFEEu);
-  const phy::Bits air = phy::AssembleAirBits(packet, 10, 0x123456u);
-  const phy::GfskModulator mod;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mod.Modulate(air));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(air.size()));
-}
-BENCHMARK(BM_GfskModulate);
-
-void BM_CsiExtract(benchmark::State& state) {
-  const phy::Packet packet = phy::MakeLocalizationPacket(10, 0x50C0FFEEu);
-  const phy::Bits air = phy::AssembleAirBits(packet, 10, 0x123456u);
-  const phy::CsiExtractor extractor;
-  const dsp::CVec tx = extractor.modulator().Modulate(air);
-  dsp::CVec rx = tx;
-  for (auto& v : rx) v *= dsp::cplx{0.3, -0.7};
-  const phy::PlateauIndices plateaus = extractor.FindPlateaus(air);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.Estimate(tx, rx, plateaus));
-  }
-}
-BENCHMARK(BM_CsiExtract);
-
-void BM_Fft4096(benchmark::State& state) {
-  dsp::CVec data(4096);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = dsp::Rotor(0.001 * static_cast<double>(i));
-  }
-  for (auto _ : state) {
-    dsp::CVec copy = data;
-    dsp::Fft(copy);
-    benchmark::DoNotOptimize(copy);
-  }
-}
-BENCHMARK(BM_Fft4096);
-
-void BM_FftPlan4096(benchmark::State& state) {
-  const dsp::FftPlan plan(4096);
-  dsp::CVec data(4096);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = dsp::Rotor(0.001 * static_cast<double>(i));
-  }
-  for (auto _ : state) {
-    dsp::CVec copy = data;
-    plan.Forward(copy);
-    benchmark::DoNotOptimize(copy);
-  }
-}
-BENCHMARK(BM_FftPlan4096);
-
-void BM_PathSolve(benchmark::State& state) {
-  const sim::ScenarioConfig scenario = sim::PaperTestbed(1);
-  const sim::Testbed testbed(scenario);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        testbed.solver().Solve({1.3, 2.1}, {5.9, 2.5}));
-  }
-}
-BENCHMARK(BM_PathSolve);
-
-void BM_CorrectedChannels(benchmark::State& state) {
-  const sim::Dataset& dataset = SharedDataset();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::ComputeCorrectedChannels(dataset.rounds[0]));
-  }
-}
-BENCHMARK(BM_CorrectedChannels);
-
-/// Fused 4-anchor likelihood map with the given Eq. 17 kernel. The
-/// steering-plan variant measures the steady state: plans are built on the
-/// first iteration and cached inside the localizer afterwards.
-void RunJointLikelihoodMap(benchmark::State& state,
-                           core::LikelihoodKernel kernel) {
-  const sim::Dataset& dataset = SharedDataset();
-  const core::CorrectedChannels corrected =
-      core::ComputeCorrectedChannels(dataset.rounds[0]);
-  core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
-  config.spectra.kernel = kernel;
-  const core::Localizer localizer(dataset.deployment, config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(localizer.FusedMap(corrected));
-  }
-}
-
-void BM_JointLikelihoodMap(benchmark::State& state) {
-  RunJointLikelihoodMap(state, core::LikelihoodKernel::kSteeringPlan);
-}
-BENCHMARK(BM_JointLikelihoodMap);
-
-void BM_JointLikelihoodMapReference(benchmark::State& state) {
-  RunJointLikelihoodMap(state, core::LikelihoodKernel::kReference);
-}
-BENCHMARK(BM_JointLikelihoodMapReference);
-
-void BM_LocateEndToEnd(benchmark::State& state) {
-  const sim::Dataset& dataset = SharedDataset();
-  const core::Localizer localizer(dataset.deployment,
-                                  sim::PaperLocalizerConfig(dataset));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        localizer.Locate(dataset.rounds[i++ % dataset.rounds.size()]));
-  }
-}
-BENCHMARK(BM_LocateEndToEnd);
-
-/// Same workload through the engine with a reused workspace — the delta
-/// vs BM_LocateEndToEnd is the per-round allocation cost.
-void BM_LocateWorkspaceReuse(benchmark::State& state) {
-  const sim::Dataset& dataset = SharedDataset();
-  const core::Localizer localizer(dataset.deployment,
-                                  sim::PaperLocalizerConfig(dataset));
-  core::LocalizerWorkspace ws;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        localizer.Locate(dataset.rounds[i++ % dataset.rounds.size()], ws));
-  }
-}
-BENCHMARK(BM_LocateWorkspaceReuse);
-
-void BM_LocateBatch(benchmark::State& state) {
-  const sim::Dataset& dataset = SharedDataset();
-  core::LocalizationEngine engine(
-      dataset.deployment, sim::PaperLocalizerConfig(dataset),
-      {.threads = static_cast<std::size_t>(state.range(0))});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.LocateBatch(dataset.rounds));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dataset.rounds.size()));
-}
-BENCHMARK(BM_LocateBatch)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_WireRoundTrip(benchmark::State& state) {
-  const sim::Dataset& dataset = SharedDataset();
-  const net::CsiReportMsg msg{dataset.rounds[0].reports[0]};
-  for (auto _ : state) {
-    const net::Buffer frame = net::EncodeFrame(msg);
-    std::optional<net::Message> decoded;
-    benchmark::DoNotOptimize(net::DecodeFrame(frame, decoded));
-  }
-  state.SetBytesProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(net::EncodeFrame(msg).size()));
-}
-BENCHMARK(BM_WireRoundTrip);
 
 struct SweepPoint {
   std::size_t threads = 0;
@@ -294,8 +120,7 @@ double TimePlanKernel(const sim::Dataset& dataset,
   const auto all_maps = [&] {
     for (std::size_t a = 0; a < inputs.size(); ++a) {
       core::JointLikelihoodMapInto(inputs[a], *plans[a], grid, ws);
-      benchmark::DoNotOptimize(grid.data().data());
-      benchmark::ClobberMemory();
+      bloc::bench::DoNotOptimize(grid.data().data());
     }
   };
   all_maps();  // warm-up: sizes the workspace
@@ -316,20 +141,39 @@ double TimePlanKernel(const sim::Dataset& dataset,
   return best;
 }
 
-/// Times one fused likelihood map per kernel; at least `min_seconds` of
-/// repetitions each, single-threaded, same fig9 corrected channels.
-double TimeFusedMap(const sim::Dataset& dataset,
-                    const core::CorrectedChannels& corrected,
-                    core::LikelihoodKernel kernel, double min_seconds = 0.5) {
-  core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
-  config.spectra.kernel = kernel;
-  const core::Localizer localizer(dataset.deployment, config);
-  benchmark::DoNotOptimize(localizer.FusedMap(corrected));  // warm-up/plans
+/// ms per fused map of `corrected`: `anchor_map(anchor, input, map, ws)`
+/// writes each anchor's Eq. 17 map into `map` with one of the two kernels,
+/// and the maps are peak-normalized and added in fusion order, as the
+/// Localizer's map stage does. At least `min_seconds` of repetitions,
+/// single-threaded.
+template <class AnchorMap>
+double MsPerFusedMap(const core::Localizer& localizer,
+                     const core::CorrectedChannels& corrected,
+                     const AnchorMap& anchor_map, double min_seconds = 0.5) {
+  std::vector<std::size_t> order;
+  localizer.FuseOrder(corrected, order);
+  std::vector<core::SpectraInput> inputs;
+  for (const std::size_t idx : order) {
+    inputs.push_back(localizer.SpectraInputFor(corrected, idx));
+  }
+  dsp::Grid2D map(localizer.config().grid);
+  dsp::Grid2D fused(localizer.config().grid);
+  core::SpectraWorkspace ws;
+  const auto fused_map = [&] {
+    fused.Reset(localizer.config().grid);
+    for (std::size_t a = 0; a < inputs.size(); ++a) {
+      anchor_map(order[a], inputs[a], map, ws);
+      map.NormalizePeak();
+      fused.Add(map);
+    }
+    bloc::bench::DoNotOptimize(fused.data().data());
+  };
+  fused_map();  // warm-up: sizes the workspace
   const auto start = std::chrono::steady_clock::now();
   std::size_t maps = 0;
   double elapsed = 0.0;
   do {
-    benchmark::DoNotOptimize(localizer.FusedMap(corrected));
+    fused_map();
     ++maps;
     elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
@@ -349,11 +193,27 @@ KernelComparison RunKernelComparison() {
   const core::CorrectedChannels corrected =
       core::ComputeCorrectedChannels(dataset.rounds[0]);
 
+  const core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
+  const core::Localizer localizer(dataset.deployment, config);
+  std::vector<std::shared_ptr<const core::SteeringPlan>> plans;
+  for (std::size_t a = 0; a < corrected.anchors.size(); ++a) {
+    plans.push_back(localizer.plan_cache().GetOrBuild(
+        localizer.SpectraInputFor(corrected, a), config.grid));
+  }
+
   KernelComparison cmp;
-  cmp.reference_ms_per_map =
-      TimeFusedMap(dataset, corrected, core::LikelihoodKernel::kReference);
-  cmp.plan_ms_per_map =
-      TimeFusedMap(dataset, corrected, core::LikelihoodKernel::kSteeringPlan);
+  cmp.reference_ms_per_map = MsPerFusedMap(
+      localizer, corrected,
+      [](std::size_t, const core::SpectraInput& input, dsp::Grid2D& map,
+         core::SpectraWorkspace& ws) {
+        core::JointLikelihoodMapInto(input, map, ws);
+      });
+  cmp.plan_ms_per_map = MsPerFusedMap(
+      localizer, corrected,
+      [&](std::size_t anchor, const core::SpectraInput& input,
+          dsp::Grid2D& map, core::SpectraWorkspace& ws) {
+        core::JointLikelihoodMapInto(input, *plans[anchor], map, ws);
+      });
   cmp.speedup = cmp.reference_ms_per_map / cmp.plan_ms_per_map;
   cmp.ns_per_cell_antenna = TimePlanKernel(dataset, corrected);
   cmp.isa = dsp::simd::IsaName(dsp::simd::Active().isa);
@@ -393,7 +253,7 @@ std::vector<SweepPoint> RunThroughputSweep(std::size_t batch_rounds) {
     std::size_t rounds_done = 0;
     double elapsed = 0.0;
     do {
-      benchmark::DoNotOptimize(engine.LocateBatch(dataset.rounds));
+      bloc::bench::DoNotOptimize(engine.LocateBatch(dataset.rounds));
       rounds_done += dataset.rounds.size();
       elapsed = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
@@ -429,7 +289,7 @@ double TimeFullPhyRounds(sim::MeasurementSimulator& simulator,
   std::size_t rounds = 0;
   double elapsed = 0.0;
   do {
-    benchmark::DoNotOptimize(
+    bloc::bench::DoNotOptimize(
         simulator.RunRound(positions[rounds % positions.size()], rounds));
     ++rounds;
     elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -558,7 +418,7 @@ DatasetSweep RunDatasetSweep(std::size_t locations) {
   sweep.warm_stats = bloc::bench::MeasureRepeated(1, 5, [&] {
     sim::DatasetStore store(dir);
     const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(store.GetOrGenerate(scenario, options));
+    bloc::bench::DoNotOptimize(store.GetOrGenerate(scenario, options));
     const double ms = ms_since(start);
     if (store.hits() != 1) std::cerr << "  warning: expected a warm hit\n";
     return ms;
@@ -575,7 +435,7 @@ DatasetSweep RunDatasetSweep(std::size_t locations) {
   });
   sweep.decode_stats = bloc::bench::MeasureRepeated(1, 5, [&] {
     const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(sim::DecodeDataset(bytes));
+    bloc::bench::DoNotOptimize(sim::DecodeDataset(bytes));
     return ms_since(start);
   });
   sweep.encode_ms = sweep.encode_stats.min;
@@ -616,7 +476,7 @@ double TimeBatchMs(core::LocalizationEngine& engine,
     std::size_t rounds_done = 0;
     double elapsed = 0.0;
     do {
-      benchmark::DoNotOptimize(engine.LocateBatch(dataset.rounds));
+      bloc::bench::DoNotOptimize(engine.LocateBatch(dataset.rounds));
       rounds_done += dataset.rounds.size();
       elapsed = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - start)
@@ -935,7 +795,6 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
       for (const std::size_t producers : config.producers) {
         serve::ServiceOptions so;
         so.shards = shards;
-        so.assembler_threads = 1;
         so.shed_policy = config.shed_policy;
         serve::LocalizationService service(
             dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
@@ -1061,7 +920,7 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
         const auto start = std::chrono::steady_clock::now();
         const std::vector<core::LocationResult> results =
             baseline_engine.LocateBatch(baseline_rounds);
-        benchmark::DoNotOptimize(results.data());
+        bloc::bench::DoNotOptimize(results.data());
         const double sec = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
@@ -1136,7 +995,6 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
   const auto pass = [&]() -> double {
     serve::ServiceOptions so;
     so.shards = 8;
-    so.assembler_threads = 1;
     // The OnMessage path cannot retry a refused frame (TCP gives the sender
     // no backpressure signal), so the rings are sized for the whole pass.
     so.ring_capacity = smoke.tags * smoke.rounds_per_tag *
@@ -1490,7 +1348,6 @@ std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Split off our flags; google-benchmark aborts on ones it doesn't know.
   // The shared --metrics-json/--trace/--threads/--search family goes
   // through bench::CommonFlags::TryParse like every other bench.
   std::string json_path;
@@ -1500,7 +1357,6 @@ int main(int argc, char** argv) {
   std::size_t sweep_rounds = 8;
   std::size_t dataset_locations = 100;
   double obs_guard_pct = -1.0;  // <0: report only, no gate
-  bool run_micro = true;
   SoakConfig soak_config;
   bool soak_wire = false;
   bool soak_guard = false;
@@ -1520,8 +1376,7 @@ int main(int argc, char** argv) {
     }
     return out;
   };
-  std::vector<char*> bench_argv;
-  for (int i = 0; i < argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (common.TryParse(arg)) {
       continue;
@@ -1587,24 +1442,12 @@ int main(int argc, char** argv) {
                      "soak or regress)\n";
         return 1;
       }
-    } else if (arg == "--no-micro") {
-      run_micro = false;
     } else {
-      bench_argv.push_back(argv[i]);
+      std::cerr << "bench_perf: unknown argument " << arg << "\n";
+      return 1;
     }
   }
   common.ApplyStartup();
-  if (mode == "regress") run_micro = false;  // pure gate, no micro section
-  if (run_micro) {
-    int bench_argc = static_cast<int>(bench_argv.size());
-    benchmark::Initialize(&bench_argc, bench_argv.data());
-    if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                               bench_argv.data())) {
-      return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  }
 
   KernelComparison kernels;
   std::vector<SweepPoint> sweep;

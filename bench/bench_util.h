@@ -27,14 +27,22 @@
 
 namespace bloc::bench {
 
+/// Compiler barrier for timed loops: `value` counts as read and all memory
+/// as clobbered, so the work that produced it is neither dropped nor moved
+/// out of the loop.
+template <class T>
+inline void DoNotOptimize(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
+
 /// Flags every bench binary shares, parsed in exactly one place:
 ///   --threads=N        engine/synthesis workers (0 = hardware_concurrency)
 ///   --metrics-json=P   RunReport JSON at exit
 ///   --trace=P          Chrome trace JSON at exit (enables tracing)
 ///   --search=MODE      "exhaustive", or "coarse" to let TrackedLocalizer
 ///                      gate the map stage with its Kalman prediction
-/// CliArgs-based benches call ReadFrom; bench_perf (which forwards unknown
-/// args to google-benchmark) feeds each argument through TryParse.
+/// CliArgs-based benches call ReadFrom; bench_perf, which parses its own
+/// flags too, feeds each argument through TryParse.
 struct CommonFlags {
   std::size_t threads = 1;
   std::string metrics_json;

@@ -58,6 +58,7 @@ class LocalizationEngine {
   /// once `out` is written, with the exception Locate threw or nullptr;
   /// `round` and `out` must stay alive until then. With a one-thread pool
   /// the round runs, and `on_done` returns, before LocateAsync does.
+  /// `on_done` must not throw: it runs inside a ThreadPool::Submit task.
   void LocateAsync(const net::MeasurementRound& round, LocationResult& out,
                    std::function<void(std::exception_ptr)> on_done);
 

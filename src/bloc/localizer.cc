@@ -151,7 +151,7 @@ SpectraInput Localizer::SpectraInputFor(const CorrectedChannels& corrected,
   const AnchorCorrected& ac = corrected.anchors[anchor_index];
   const AnchorPose* pose = deployment_.Find(ac.anchor_id);
   if (pose == nullptr) {
-    throw std::invalid_argument("FusedMap: report from unknown anchor");
+    throw std::invalid_argument("Localizer: report from unknown anchor");
   }
   SpectraInput input;
   input.channels = &ac;
@@ -171,39 +171,21 @@ double Localizer::AnchorMapInto(const CorrectedChannels& corrected,
                                 const CellWindow* window) const {
   const SpectraInput input = SpectraInputFor(corrected, anchor_index);
   map.Reset(config_.grid);
-  if (config_.spectra.kernel == LikelihoodKernel::kReference) {
-    // The accuracy oracle evaluates the whole grid; a window then keeps
-    // only its own cells.
-    JointLikelihoodMapInto(input, map, ws);
-    if (window != nullptr) {
-      for (std::size_t row = 0; row < map.rows(); ++row) {
-        for (std::size_t col = 0; col < map.cols(); ++col) {
-          if (row < window->row0 || row >= window->row1 ||
-              col < window->col0 || col >= window->col1) {
-            map.At(col, row) = 0.0;
-          }
-        }
-      }
-    }
+  const auto plan = plan_cache_->GetOrBuild(input, config_.grid, ws.comb_step);
+  if (window == nullptr) {
+    JointLikelihoodMapInto(input, *plan, map, ws);
   } else {
-    const auto plan = plan_cache_->GetOrBuild(input, config_.grid,
-                                              ws.comb_step);
-    if (window == nullptr) {
-      JointLikelihoodMapInto(input, *plan, map, ws);
-    } else {
-      // One kernel call over all window rows: the chunk pass runs once per
-      // antenna, and each value lands at its own cell of `map`.
-      BuildBandTable(input, *plan, ws.table, ws);
-      const std::size_t cols = map.cols();
-      ws.spans.clear();
-      for (std::size_t row = window->row0; row < window->row1; ++row) {
-        ws.spans.push_back(
-            {static_cast<std::uint32_t>(row * cols + window->col0),
-             static_cast<std::uint32_t>(window->col1 - window->col0)});
-      }
-      JointLikelihoodSpansInto(*plan, ws.table, ws.spans, map.data().data(),
-                               ws);
+    // One kernel call over all window rows: the chunk pass runs once per
+    // antenna, and each value lands at its own cell of `map`.
+    BuildBandTable(input, *plan, ws.table, ws);
+    const std::size_t cols = map.cols();
+    ws.spans.clear();
+    for (std::size_t row = window->row0; row < window->row1; ++row) {
+      ws.spans.push_back(
+          {static_cast<std::uint32_t>(row * cols + window->col0),
+           static_cast<std::uint32_t>(window->col1 - window->col0)});
     }
+    JointLikelihoodSpansInto(*plan, ws.table, ws.spans, map.data().data(), ws);
   }
   // Peak-normalize so one near anchor cannot drown the others. Cells
   // outside the window are zero, so the grid maximum is the window's.
@@ -313,13 +295,6 @@ void Localizer::FusedMapInto(LocalizerWorkspace& ws,
   obs::TraceSpan span("localize.fuse", "bloc");
   obs::ScopedTimer timer(metrics.fuse_us);
   for (std::size_t i = 0; i < n; ++i) fused.Add(maps[i]);
-}
-
-dsp::Grid2D Localizer::FusedMap(const CorrectedChannels& corrected) const {
-  LocalizerWorkspace ws;
-  ws.corrected = corrected;
-  FusedMapInto(ws);
-  return std::move(*ws.fused);
 }
 
 LocationResult Localizer::Locate(const net::MeasurementRound& round,

@@ -36,7 +36,7 @@ struct LocalizerConfig {
   /// Search region; typically the room plus a small margin.
   dsp::GridSpec grid{0.0, 0.0, 6.0, 5.0, 0.075};
   ScoringConfig scoring;
-  /// Eq. 17 kernel selection (steering-plan vs reference).
+  /// Search mode, read only by TrackedLocalizer (spectra.h).
   SpectraConfig spectra;
   /// Use only the first N antennas of each anchor (0 = all) — §8.4.
   std::size_t max_antennas = 0;
@@ -167,12 +167,8 @@ class Localizer {
                         const dsp::ThreadPool* map_pool = nullptr) const;
 
   /// The corrected channels after anchor/band filtering — exposed for
-  /// diagnostics and the microbenchmarks.
+  /// diagnostics, the benches and the reference-kernel parity tests.
   CorrectedChannels CorrectedFor(const net::MeasurementRound& round) const;
-
-  /// Builds the fused (cross-anchor) likelihood map of the whole grid
-  /// without peak selection.
-  dsp::Grid2D FusedMap(const CorrectedChannels& corrected) const;
 
   /// The map stage of Locate over an already-corrected round: (re)derives
   /// ws.fuse_order from ws.corrected and builds the fused map into

@@ -12,8 +12,9 @@
 // steering-plan kernel (bloc/steering_plan.h) factors each band sum into a
 // precomputed base rotor times a per-round table of the comb's band sum,
 // interpolated per cell. The two agree to within 1e-6 of the map peak and
-// select the same positions; the reference kernel stays selectable via
-// SpectraConfig as the accuracy oracle.
+// select the same positions. The Localizer runs only the plan kernel; the
+// reference kernel stays a free function here, the accuracy oracle that the
+// parity tests and bench_perf's speedup gate call directly.
 #pragma once
 
 #include <cstdint>
@@ -43,14 +44,6 @@ struct SpectraInput {
   std::size_t max_antennas = 0;
 };
 
-/// Which Eq. 17 implementation the localizer runs.
-enum class LikelihoodKernel {
-  /// Precomputed steering plan + per-round band table (the default).
-  kSteeringPlan,
-  /// Per-cell sqrt/sincos naive loop; kept for parity testing.
-  kReference,
-};
-
 /// Whether TrackedLocalizer gates the map stage with its Kalman prediction.
 /// The Localizer itself never reads the mode: every round evaluates the
 /// Eq. 17 maps over a cell window (LocalizerWorkspace::gate, DESIGN.md
@@ -71,7 +64,6 @@ struct SearchConfig {
 };
 
 struct SpectraConfig {
-  LikelihoodKernel kernel = LikelihoodKernel::kSteeringPlan;
   SearchConfig search;
 };
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <exception>
+#include <memory>
 
 namespace bloc::dsp {
 
@@ -119,21 +120,17 @@ void ThreadPool::Enqueue(std::function<void()> task) const {
   cv_.notify_one();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  if (workers_.empty()) {
-    // size 1: run inline, but keep the books identical to the queued path.
-    tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-    submitted_metric_.Inc();
-    QueuedTask inline_task{[packaged] { (*packaged)(); },
-                           obs::MetricsEnabled() ? obs::NowNs() : 0};
-    RunTask(inline_task);
-  } else {
-    Enqueue([packaged] { (*packaged)(); });
+void ThreadPool::Submit(std::function<void()> task) {
+  if (!workers_.empty()) {
+    Enqueue(std::move(task));
+    return;
   }
-  return future;
+  // size 1: run inline, but keep the books identical to the queued path.
+  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_metric_.Inc();
+  QueuedTask inline_task{std::move(task),
+                         obs::MetricsEnabled() ? obs::NowNs() : 0};
+  RunTask(inline_task);
 }
 
 namespace {

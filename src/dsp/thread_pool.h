@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,9 +44,11 @@ class ThreadPool {
   /// [0, size()) to its body, so callers can keep one workspace per slot.
   std::size_t size() const { return size_; }
 
-  /// Enqueues a task; the future reports completion and rethrows any
-  /// exception the task raised.
-  std::future<void> Submit(std::function<void()> task);
+  /// Enqueues a task (runs it inline on a size-1 pool). The task must not
+  /// throw: it reports its own outcome, as LocalizationEngine::LocateAsync's
+  /// does through its completion callback. An exception escaping a task on
+  /// a worker thread ends the program (std::terminate).
+  void Submit(std::function<void()> task);
 
   /// Runs fn(index, slot) for every index in [0, n) and returns once all
   /// have finished. Caller-participating: the calling thread claims indices

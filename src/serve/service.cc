@@ -45,8 +45,6 @@ LocalizationService::LocalizationService(core::Deployment deployment,
       engine_(deployment, std::move(config),
               {.threads = options_.engine_threads}) {
   options_.shards = RingCapacityFor(std::max<std::size_t>(options_.shards, 1));
-  options_.assembler_threads = std::clamp<std::size_t>(
-      options_.assembler_threads, 1, options_.shards);
   if (options_.max_inflight_locates == 0) {
     options_.max_inflight_locates = 4 * engine_.threads();
   }
@@ -73,16 +71,13 @@ void LocalizationService::SetUpdateCallback(
 
 void LocalizationService::Start() {
   if (running_.exchange(true)) return;
-  assemblers_.reserve(options_.assembler_threads);
-  for (std::size_t w = 0; w < options_.assembler_threads; ++w) {
-    assemblers_.emplace_back([this, w] { AssemblerLoop(w); });
-  }
+  assembler_ = std::thread([this] { AssemblerLoop(); });
 }
 
 void LocalizationService::Stop() {
   accepting_.store(false, std::memory_order_release);
   if (running_.load(std::memory_order_acquire)) {
-    // Let the assemblers finish the admitted work before asking them out:
+    // Let the assembler finish the admitted work before asking it out:
     // incomplete rounds awaiting more frames are not work (their frames can
     // no longer arrive), in-flight localizations and ring residue are.
     while (frames_in_rings_.load(std::memory_order_acquire) > 0 ||
@@ -91,9 +86,8 @@ void LocalizationService::Stop() {
     }
   }
   running_.store(false);
-  WakeAssemblers();
-  for (std::thread& t : assemblers_) t.join();
-  assemblers_.clear();
+  WakeAssembler();
+  if (assembler_.joinable()) assembler_.join();
 }
 
 bool LocalizationService::Drain(std::chrono::milliseconds timeout) {
@@ -130,7 +124,7 @@ bool LocalizationService::Ingest(std::uint64_t tag_id,
   admitted_frames_.fetch_add(1);
   metrics.admitted.Inc();
   metrics.ring_depth.Add(1);
-  if (sleepers_.load() > 0) WakeAssemblers();
+  if (sleepers_.load() > 0) WakeAssembler();
   return true;
 }
 
@@ -227,7 +221,7 @@ ServiceHealthStats LocalizationService::HealthStats() const {
   return stats;
 }
 
-void LocalizationService::AssemblerLoop(std::size_t worker) {
+void LocalizationService::AssemblerLoop() {
   std::uint64_t last_gc_ns = obs::NowNs();
   // GC cadence: a quarter of the round timeout, clamped to [5ms, 1s].
   const std::uint64_t gc_period_ns = std::clamp<std::uint64_t>(
@@ -239,18 +233,14 @@ void LocalizationService::AssemblerLoop(std::size_t worker) {
     const std::uint64_t frames_seen = admitted_frames_.load();
     const std::uint64_t locates_seen = locates_done_.load();
     std::size_t work = 0;
-    for (std::size_t s = worker; s < shards_.size();
-         s += options_.assembler_threads) {
-      work += DrainShardRing(worker, *shards_[s]);
-      work += SweepCompletions(*shards_[s]);
+    for (const auto& shard : shards_) {
+      work += DrainShardRing(*shard);
+      work += SweepCompletions(*shard);
     }
     const std::uint64_t now = obs::NowNs();
     if (now - last_gc_ns >= gc_period_ns) {
       last_gc_ns = now;
-      for (std::size_t s = worker; s < shards_.size();
-           s += options_.assembler_threads) {
-        CollectGarbage(*shards_[s], now);
-      }
+      for (const auto& shard : shards_) CollectGarbage(*shard, now);
     }
     if (work == 0) {
       WaitForWork(frames_seen, locates_seen,
@@ -271,20 +261,19 @@ void LocalizationService::WaitForWork(std::uint64_t frames_seen,
   sleepers_.fetch_sub(1);
 }
 
-void LocalizationService::WakeAssemblers() {
+void LocalizationService::WakeAssembler() {
   std::lock_guard lock(wake_mutex_);
   wake_cv_.notify_all();
 }
 
-std::size_t LocalizationService::DrainShardRing(std::size_t worker,
-                                                TagSessionShard& shard) {
+std::size_t LocalizationService::DrainShardRing(TagSessionShard& shard) {
   const Metrics& metrics = Metrics::Get();
   std::size_t popped = 0;
   std::unique_lock lock(shard.mutex, std::defer_lock);
   TagFrame frame;
   while (popped < kDrainBatch && shard.ring.TryPop(frame)) {
     if (!lock.owns_lock()) lock.lock();
-    Assemble(worker, shard, lock, std::move(frame));
+    Assemble(shard, lock, std::move(frame));
     // Decrement only after assembly so Drain() never observes an
     // all-zero instant while a frame is between the ring and the engine
     // (AdmitRound raises inflight_locates_ before this drops to zero).
@@ -296,7 +285,7 @@ std::size_t LocalizationService::DrainShardRing(std::size_t worker,
   return popped;
 }
 
-void LocalizationService::Assemble(std::size_t worker, TagSessionShard& shard,
+void LocalizationService::Assemble(TagSessionShard& shard,
                                    std::unique_lock<std::mutex>& lock,
                                    TagFrame&& frame) {
   const Metrics& metrics = Metrics::Get();
@@ -354,20 +343,18 @@ void LocalizationService::Assemble(std::size_t worker, TagSessionShard& shard,
     AssemblingRound completed = std::move(round);
     session.assembling.erase(round_it);
     session.inflight += 1;
-    AdmitRound(worker, shard, lock, frame.tag_id, round_id,
-               std::move(completed));
+    AdmitRound(shard, lock, frame.tag_id, round_id, std::move(completed));
   }
 }
 
-void LocalizationService::AdmitRound(std::size_t worker,
-                                     TagSessionShard& shard,
+void LocalizationService::AdmitRound(TagSessionShard& shard,
                                      std::unique_lock<std::mutex>& lock,
                                      std::uint64_t tag_id,
                                      std::uint64_t round_id,
                                      AssemblingRound&& round) {
   const Metrics& metrics = Metrics::Get();
   // Engine admission control: at the in-flight bound the assembler stalls
-  // (sweeping its shards so completions retire, and sleeping until the next
+  // (sweeping every shard so completions retire, and sleeping until the next
   // one when none did) instead of queueing rounds without limit. The stall
   // propagates: rings fill, producers get refusals.
   while (inflight_locates_.load(std::memory_order_acquire) >=
@@ -376,10 +363,7 @@ void LocalizationService::AdmitRound(std::size_t worker,
     const std::uint64_t frames_seen = admitted_frames_.load();
     const std::uint64_t locates_seen = locates_done_.load();
     std::size_t retired = 0;
-    for (std::size_t s = worker; s < shards_.size();
-         s += options_.assembler_threads) {
-      retired += SweepCompletions(*shards_[s]);
-    }
+    for (const auto& s : shards_) retired += SweepCompletions(*s);
     if (retired == 0) {
       WaitForWork(frames_seen, locates_seen, options_.round_timeout);
     }
@@ -406,7 +390,7 @@ void LocalizationService::AdmitRound(std::size_t worker,
                         inflight->done.store(true, std::memory_order_release);
                         // The node may be recycled from here on.
                         locates_done_.fetch_add(1);
-                        if (sleepers_.load() > 0) WakeAssemblers();
+                        if (sleepers_.load() > 0) WakeAssembler();
                       });
 }
 
@@ -545,15 +529,10 @@ void LocalizationService::CollectGarbage(TagSessionShard& shard,
 }
 
 std::unique_ptr<InflightLocate> LocalizationService::AcquireNode() {
-  {
-    std::lock_guard lock(node_pool_mutex_);
-    if (!node_pool_.empty()) {
-      std::unique_ptr<InflightLocate> node = std::move(node_pool_.back());
-      node_pool_.pop_back();
-      return node;
-    }
-  }
-  return std::make_unique<InflightLocate>();
+  if (node_pool_.empty()) return std::make_unique<InflightLocate>();
+  std::unique_ptr<InflightLocate> node = std::move(node_pool_.back());
+  node_pool_.pop_back();
+  return node;
 }
 
 void LocalizationService::RecycleNode(std::unique_ptr<InflightLocate> node) {
@@ -561,7 +540,6 @@ void LocalizationService::RecycleNode(std::unique_ptr<InflightLocate> node) {
   node->round.reports.clear();  // keeps capacity; bands free their memory
   node->error = nullptr;
   node->done.store(false, std::memory_order_relaxed);
-  std::lock_guard lock(node_pool_mutex_);
   if (node_pool_.size() < 2 * options_.max_inflight_locates) {
     node_pool_.push_back(std::move(node));
   }

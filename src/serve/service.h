@@ -3,7 +3,7 @@
 // server (paper §3), localized concurrently with admission control and an
 // output position stream.
 //
-//   producers (transports / Ingest)          assembler thread(s)
+//   producers (transports / Ingest)          assembler thread
 //   ─ lock-free TryPush into the tag's ──►   drain rings -> assemble rounds
 //     shard ring; full ring = refusal        under the shard mutex; complete
 //                                            rounds feed LocateAsync; ready
@@ -57,9 +57,6 @@ struct ServiceOptions {
   /// Per-shard ingest ring capacity (rounded up to a power of two). A full
   /// ring refuses the frame — the hard backpressure edge.
   std::size_t ring_capacity = 1024;
-  /// Assembler threads draining the rings (shard k belongs to thread
-  /// k % assembler_threads). One is right on small machines.
-  std::size_t assembler_threads = 1;
   /// LocalizationEngine pool threads (0 = hardware_concurrency). Each
   /// round's per-anchor maps fan out across the pool, so below saturation
   /// a fix takes about one anchor map's time rather than all of them.
@@ -133,11 +130,11 @@ class LocalizationService : public net::MessageSink {
   LocalizationService& operator=(const LocalizationService&) = delete;
 
   /// Position-stream push mode: every localized round is delivered here
-  /// (from an assembler thread, never under a shard mutex). Set before
+  /// (from the assembler thread, never under a shard mutex). Set before
   /// Start(); when unset, updates accumulate in the per-tag Poll() backlog.
   void SetUpdateCallback(std::function<void(const PositionUpdate&)> callback);
 
-  /// Spawns the assembler thread(s). Frames ingested before Start() wait in
+  /// Spawns the assembler thread. Frames ingested before Start() wait in
   /// the rings. Idempotent.
   void Start();
 
@@ -187,27 +184,28 @@ class LocalizationService : public net::MessageSink {
  private:
   struct Metrics;  // registry handles (service.cc)
 
-  void AssemblerLoop(std::size_t worker);
+  void AssemblerLoop();
   /// Sleeps until a frame is admitted or a locate completes after the
   /// given counter readings, the service stops, or `timeout` passes.
   void WaitForWork(std::uint64_t frames_seen, std::uint64_t locates_seen,
                    std::chrono::nanoseconds timeout);
-  /// Wakes the sleeping assemblers, if any.
-  void WakeAssemblers();
+  /// Wakes the assembler if it sleeps.
+  void WakeAssembler();
   /// Pops up to one batch from the shard ring and assembles. Returns the
   /// number of frames consumed.
-  std::size_t DrainShardRing(std::size_t worker, TagSessionShard& shard);
+  std::size_t DrainShardRing(TagSessionShard& shard);
   /// One frame into its session, applying duplicate/shed/refuse rules;
   /// caller holds the shard mutex via `lock`. May complete (and admit) a
   /// round.
-  void Assemble(std::size_t worker, TagSessionShard& shard,
-                std::unique_lock<std::mutex>& lock, TagFrame&& frame);
+  void Assemble(TagSessionShard& shard, std::unique_lock<std::mutex>& lock,
+                TagFrame&& frame);
   /// Hands a completed round to the engine, stalling while the in-flight
   /// bound is hit; caller holds the shard mutex (released while stalled so
-  /// the worker can sweep its shards' completions and wait for the next).
-  void AdmitRound(std::size_t worker, TagSessionShard& shard,
-                  std::unique_lock<std::mutex>& lock, std::uint64_t tag_id,
-                  std::uint64_t round_id, AssemblingRound&& round);
+  /// the assembler can sweep every shard's completions and wait for the
+  /// next).
+  void AdmitRound(TagSessionShard& shard, std::unique_lock<std::mutex>& lock,
+                  std::uint64_t tag_id, std::uint64_t round_id,
+                  AssemblingRound&& round);
   /// Retires every done round at the front of the shard's FIFO: delivers
   /// its update, or drops and counts the round when its Locate threw.
   /// Returns the number retired. Callbacks run outside the mutex.
@@ -220,8 +218,9 @@ class LocalizationService : public net::MessageSink {
 
   ServiceOptions options_;
 
-  /// Idle and stalled assemblers sleep on wake_cv_. Declared before engine_
-  /// so they outlive the pool, whose workers notify after each locate.
+  /// The idle or stalled assembler sleeps on wake_cv_. Declared before
+  /// engine_ so they outlive the pool, whose workers notify after each
+  /// locate.
   std::mutex wake_mutex_;
   std::condition_variable wake_cv_;
   std::atomic<std::size_t> sleepers_{0};
@@ -237,7 +236,7 @@ class LocalizationService : public net::MessageSink {
 
   std::function<void(const PositionUpdate&)> callback_;
 
-  std::vector<std::thread> assemblers_;
+  std::thread assembler_;
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{false};
 
@@ -257,9 +256,8 @@ class LocalizationService : public net::MessageSink {
   std::atomic<std::uint64_t> dropped_updates_{0};
   std::atomic<std::uint64_t> sessions_expired_{0};
 
-  /// Recycled InflightLocate nodes (mutex-guarded; completed-round rate is
-  /// orders of magnitude below the frame rate).
-  std::mutex node_pool_mutex_;
+  /// Recycled InflightLocate nodes, touched only by the assembler thread
+  /// (AdmitRound takes, SweepCompletions returns), so no lock.
   std::vector<std::unique_ptr<InflightLocate>> node_pool_;
 };
 

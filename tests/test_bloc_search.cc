@@ -64,12 +64,8 @@ void ExpectWindowedMaps(const Localizer& localizer, LocalizerWorkspace& ws) {
   for (std::size_t i = 0; i < ws.fuse_order.size(); ++i) {
     const SpectraInput input =
         localizer.SpectraInputFor(ws.corrected, ws.fuse_order[i]);
-    if (localizer.config().spectra.kernel == LikelihoodKernel::kReference) {
-      JointLikelihoodMapInto(input, full, sws);
-    } else {
-      const auto plan = localizer.plan_cache().GetOrBuild(input, grid, 2.0e6);
-      JointLikelihoodMapInto(input, *plan, full, sws);
-    }
+    const auto plan = localizer.plan_cache().GetOrBuild(input, grid, 2.0e6);
+    JointLikelihoodMapInto(input, *plan, full, sws);
     double m = 0.0;
     for (std::size_t row = w.row0; row < w.row1; ++row) {
       for (std::size_t col = w.col0; col < w.col1; ++col) {
@@ -193,21 +189,16 @@ TEST(Search, FullGridGateIsBitIdenticalToUngated) {
 }
 
 TEST(Search, GatedWindowIsFullMapOverWindowMax) {
-  for (const LikelihoodKernel kernel :
-       {LikelihoodKernel::kSteeringPlan, LikelihoodKernel::kReference}) {
-    LocalizerConfig config = CoarseConfig(Fig9().dataset);
-    config.spectra.kernel = kernel;
-    const Localizer localizer(Fig9().dataset.deployment, config);
-    for (const auto& round : Fig9().dataset.rounds) {
-      LocalizerWorkspace ws;
-      ws.gate = {true, localizer.Locate(round).position, 0.6};
-      localizer.Locate(round, ws);
-      ASSERT_TRUE(ws.search.stats.gated);
-      EXPECT_FALSE(ws.search.stats.gate_missed);
-      EXPECT_LT(ws.search.window.cells(),
-                CellWindow::Full(config.grid).cells());
-      ExpectWindowedMaps(localizer, ws);
-    }
+  const LocalizerConfig config = CoarseConfig(Fig9().dataset);
+  const Localizer localizer(Fig9().dataset.deployment, config);
+  for (const auto& round : Fig9().dataset.rounds) {
+    LocalizerWorkspace ws;
+    ws.gate = {true, localizer.Locate(round).position, 0.6};
+    localizer.Locate(round, ws);
+    ASSERT_TRUE(ws.search.stats.gated);
+    EXPECT_FALSE(ws.search.stats.gate_missed);
+    EXPECT_LT(ws.search.window.cells(), CellWindow::Full(config.grid).cells());
+    ExpectWindowedMaps(localizer, ws);
   }
 }
 

@@ -441,6 +441,25 @@ TEST(SteeringPlanCache, PlanBuildsAmortizedAcrossRounds) {
   EXPECT_GT(engine.plan_cache().lookups(), builds_after_first);
 }
 
+/// `round` localized with the reference kernel through the Localizer's
+/// public stages: correct, fuse order, each anchor's oracle map
+/// peak-normalized and added in that order, then scored.
+LocationResult ReferenceLocate(const Localizer& localizer,
+                               const net::MeasurementRound& round) {
+  const CorrectedChannels corrected = localizer.CorrectedFor(round);
+  std::vector<std::size_t> order;
+  localizer.FuseOrder(corrected, order);
+  auto fused = std::make_shared<dsp::Grid2D>(localizer.config().grid);
+  dsp::Grid2D map(localizer.config().grid);
+  SpectraWorkspace ws;
+  for (const std::size_t idx : order) {
+    JointLikelihoodMapInto(localizer.SpectraInputFor(corrected, idx), map, ws);
+    map.NormalizePeak();
+    fused->Add(map);
+  }
+  return localizer.ScoreFused(std::move(fused), corrected);
+}
+
 /// End-to-end equivalence on simulated fig9 rounds: the steering-plan
 /// kernel must not move a single localization output relative to the
 /// reference, under either search mode. Fused maps agree to the peak-
@@ -452,20 +471,16 @@ TEST(SteeringPlanParity, LocalizationOutputsUnchanged) {
     const sim::Dataset dataset =
         sim::GenerateDataset(sim::PaperTestbed(seed), options);
 
-    LocalizerConfig reference_config = sim::PaperLocalizerConfig(dataset);
-    reference_config.keep_map = true;
-    reference_config.spectra.kernel = LikelihoodKernel::kReference;
-    LocalizerConfig plan_config = reference_config;
-    plan_config.spectra.kernel = LikelihoodKernel::kSteeringPlan;
+    LocalizerConfig plan_config = sim::PaperLocalizerConfig(dataset);
+    plan_config.keep_map = true;
     LocalizerConfig coarse_config = plan_config;
     coarse_config.spectra.search.mode = SearchMode::kCoarseToFine;
 
-    const Localizer reference(dataset.deployment, reference_config);
     const Localizer planned(dataset.deployment, plan_config);
     const Localizer coarse(dataset.deployment, coarse_config);
-    LocalizerWorkspace ref_ws, plan_ws, coarse_ws;
+    LocalizerWorkspace plan_ws, coarse_ws;
     for (const net::MeasurementRound& round : dataset.rounds) {
-      const LocationResult a = reference.Locate(round, ref_ws);
+      const LocationResult a = ReferenceLocate(planned, round);
       const LocationResult b = planned.Locate(round, plan_ws);
       const LocationResult c = coarse.Locate(round, coarse_ws);
       EXPECT_EQ(a.position.x, b.position.x) << "seed " << seed;

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <future>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -15,15 +15,22 @@
 namespace bloc::dsp {
 namespace {
 
+// A latch that Submit tasks count down is declared before the pool: the
+// pool's destructor joins the workers, so no task still holds it when it
+// goes.
+
 TEST(ThreadPool, RunsSubmittedTasks) {
+  std::atomic<int> count{0};
+  std::latch done(32);
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([&count] { ++count; }));
+    pool.Submit([&] {
+      ++count;
+      done.count_down();
+    });
   }
-  for (auto& f : futures) f.get();
+  done.wait();
   EXPECT_EQ(count.load(), 32);
 }
 
@@ -39,19 +46,20 @@ TEST(ThreadPool, DefaultSizeIsHardwareConcurrency) {
 TEST(ThreadPool, WorkersKeepTheProcessCpuMask) {
   cpu_set_t process;
   ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
-  ThreadPool pool(4);
   std::atomic<int> pinned{0};
-  std::vector<std::future<void>> futures;
+  std::latch done(32);
+  ThreadPool pool(4);
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([&] {
+    pool.Submit([&] {
       cpu_set_t mine;
       if (sched_getaffinity(0, sizeof(mine), &mine) != 0 ||
           !CPU_EQUAL(&mine, &process)) {
         ++pinned;
       }
-    }));
+      done.count_down();
+    });
   }
-  for (auto& f : futures) f.get();
+  done.wait();
   EXPECT_EQ(pinned.load(), 0);
 }
 #endif
@@ -60,7 +68,7 @@ TEST(ThreadPool, SizeOneRunsInlineOnCaller) {
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id submit_thread, for_thread;
-  pool.Submit([&] { submit_thread = std::this_thread::get_id(); }).get();
+  pool.Submit([&] { submit_thread = std::this_thread::get_id(); });
   pool.ParallelFor(3, [&](std::size_t, std::size_t slot) {
     for_thread = std::this_thread::get_id();
     EXPECT_EQ(slot, 0u);
@@ -89,12 +97,6 @@ TEST(ThreadPool, ParallelForWithMoreSlotsThanWork) {
 TEST(ThreadPool, ParallelForZeroIsNoOp) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](std::size_t, std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
@@ -136,16 +138,17 @@ TEST(ThreadPool, AccountsEveryTaskAndDropsNone) {
   std::uint64_t completed = 0;
   std::atomic<int> ran{0};
   {
+    std::latch done(100);
     ThreadPool pool(3);
-    std::vector<std::future<void>> futures;
     for (int i = 0; i < 100; ++i) {
-      futures.push_back(pool.Submit([&ran] {
+      pool.Submit([&] {
         std::this_thread::sleep_for(std::chrono::microseconds(20));
         ++ran;
-      }));
+        done.count_down();
+      });
     }
     pool.ParallelFor(40, [&ran](std::size_t, std::size_t) { ++ran; });
-    for (auto& f : futures) f.get();
+    done.wait();
     EXPECT_GE(pool.tasks_submitted(), 100u);
     submitted = pool.tasks_submitted();
     completed = pool.tasks_completed();
@@ -159,7 +162,7 @@ TEST(ThreadPool, AccountsEveryTaskAndDropsNone) {
 
 TEST(ThreadPool, InlineModeKeepsTheSameBooks) {
   ThreadPool pool(1);
-  pool.Submit([] {}).get();
+  pool.Submit([] {});
   pool.ParallelFor(5, [](std::size_t, std::size_t) {});
   // Inline execution is synchronous, so the totals are exact immediately:
   // one task per Submit and one per ParallelFor call.
@@ -169,31 +172,32 @@ TEST(ThreadPool, InlineModeKeepsTheSameBooks) {
 }
 
 TEST(ThreadPool, QueueDepthReturnsToZero) {
+  std::latch done(32);
   ThreadPool pool(2);
-  std::vector<std::future<void>> futures;
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit(
-        [] { std::this_thread::sleep_for(std::chrono::microseconds(30)); }));
+    pool.Submit([&done] {
+      std::this_thread::sleep_for(std::chrono::microseconds(30));
+      done.count_down();
+    });
   }
-  for (auto& f : futures) f.get();
-  // Every future resolved, so every task was popped from the queue.
+  done.wait();
+  // Every task ran, so every task was popped from the queue.
   EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
-/// Parks every worker of `pool` until the returned promise is set, so
-/// queued helpers cannot start before the test lets them.
-std::promise<void> BlockWorkers(ThreadPool& pool,
-                                std::vector<std::future<void>>& parked) {
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  std::atomic<std::size_t> started{0};
+/// Parks every worker of `pool` until the returned latch is counted down,
+/// so queued helpers cannot start before the test lets them. The parked
+/// tasks share both latches, so neither dies under a task still using it.
+std::shared_ptr<std::latch> ParkWorkers(ThreadPool& pool) {
+  auto started = std::make_shared<std::latch>(pool.size());
+  auto release = std::make_shared<std::latch>(1);
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    parked.push_back(pool.Submit([gate, &started] {
-      ++started;
-      gate.wait();
-    }));
+    pool.Submit([started, release] {
+      started->count_down();
+      release->wait();
+    });
   }
-  while (started.load() < pool.size()) std::this_thread::yield();
+  started->wait();
   return release;
 }
 
@@ -216,22 +220,25 @@ TEST(ThreadPool, NestedParallelForOnSaturatedPoolCompletes) {
   constexpr std::size_t kTasks = 16;
   constexpr std::size_t kInner = 8;
   std::vector<std::atomic<int>> hits(kTasks * kInner);
-  std::vector<std::future<void>> futures;
+  std::atomic<std::size_t> finished{0};
   for (std::size_t t = 0; t < kTasks; ++t) {
-    futures.push_back(pool->Submit([&, t] {
+    pool->Submit([&, t] {
       pool->ParallelFor(kInner, [&, t](std::size_t i, std::size_t slot) {
         EXPECT_LT(slot, pool->size());
         std::this_thread::sleep_for(std::chrono::microseconds(100));
         ++hits[t * kInner + i];
       });
-    }));
+      ++finished;
+    });
   }
-  for (auto& f : futures) {
-    if (f.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < kTasks) {
+    if (std::chrono::steady_clock::now() > deadline) {
       pool.release();  // deadlocked: joining the workers would hang
       FAIL() << "nested ParallelFor deadlocked";
     }
-    f.get();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_TRUE(Balanced(*pool));
@@ -239,8 +246,7 @@ TEST(ThreadPool, NestedParallelForOnSaturatedPoolCompletes) {
 
 TEST(ThreadPool, ParallelForCallerRunsEveryIndexWhenWorkersAreBusy) {
   ThreadPool pool(4);
-  std::vector<std::future<void>> parked;
-  std::promise<void> release = BlockWorkers(pool, parked);
+  const std::shared_ptr<std::latch> release = ParkWorkers(pool);
   const std::thread::id caller = std::this_thread::get_id();
   std::size_t ran = 0;
   pool.ParallelFor(6, [&](std::size_t, std::size_t slot) {
@@ -249,8 +255,8 @@ TEST(ThreadPool, ParallelForCallerRunsEveryIndexWhenWorkersAreBusy) {
     ++ran;
   });
   EXPECT_EQ(ran, 6u);
-  release.set_value();
-  for (auto& f : parked) f.get();
+  release->count_down();
+  EXPECT_TRUE(Balanced(pool));
 }
 
 TEST(ThreadPool, LateHelperNeverTouchesFn) {
@@ -261,8 +267,7 @@ TEST(ThreadPool, LateHelperNeverTouchesFn) {
   std::atomic<int> calls{0};
   {
     ThreadPool pool(3);
-    std::vector<std::future<void>> parked;
-    std::promise<void> release = BlockWorkers(pool, parked);
+    const std::shared_ptr<std::latch> release = ParkWorkers(pool);
     {
       auto fn = std::make_unique<std::function<void(std::size_t, std::size_t)>>(
           [&calls](std::size_t, std::size_t) { ++calls; });
@@ -270,8 +275,7 @@ TEST(ThreadPool, LateHelperNeverTouchesFn) {
     }  // fn freed while both helpers are still queued
     EXPECT_EQ(calls.load(), 5);
     EXPECT_EQ(pool.queue_depth(), 2u);
-    release.set_value();
-    for (auto& f : parked) f.get();
+    release->count_down();
     EXPECT_TRUE(Balanced(pool));  // the late helpers ran and retired
   }
   EXPECT_EQ(calls.load(), 5);
@@ -279,8 +283,7 @@ TEST(ThreadPool, LateHelperNeverTouchesFn) {
 
 TEST(ThreadPool, ParallelForPropagatesExceptionFromCallersOwnIndex) {
   ThreadPool pool(4);
-  std::vector<std::future<void>> parked;
-  std::promise<void> release = BlockWorkers(pool, parked);
+  const std::shared_ptr<std::latch> release = ParkWorkers(pool);
   // The workers are parked, so the caller runs the indices and the throw
   // happens on its own thread, as slot 0.
   std::atomic<int> ran{0};
@@ -294,21 +297,18 @@ TEST(ThreadPool, ParallelForPropagatesExceptionFromCallersOwnIndex) {
                                 }),
                std::runtime_error);
   EXPECT_EQ(ran.load(), 3);  // later indices are skipped after the failure
-  release.set_value();
-  for (auto& f : parked) f.get();
+  release->count_down();
   EXPECT_TRUE(Balanced(pool));
 }
 
 TEST(ThreadPool, NestedFanOutKeepsTheBooksBalanced) {
   ThreadPool pool(3);
-  std::vector<std::future<void>> futures;
   for (int t = 0; t < 12; ++t) {
-    futures.push_back(pool.Submit([&pool] {
+    pool.Submit([&pool] {
       pool.ParallelFor(5, [](std::size_t, std::size_t) {});
-    }));
+    });
   }
   pool.ParallelFor(7, [](std::size_t, std::size_t) {});
-  for (auto& f : futures) f.get();
   // Once quiescent, every Submit task, every helper (late ones included)
   // and every caller share has retired.
   EXPECT_TRUE(Balanced(pool));
