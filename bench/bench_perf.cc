@@ -456,6 +456,7 @@ DatasetSweep RunDatasetSweep(std::size_t locations) {
   return sweep;
 }
 
+/// Medians over the alternating pairs of RunObsOverheadCheck.
 struct ObsOverhead {
   double enabled_ms_per_round = 0.0;
   double disabled_ms_per_round = 0.0;
@@ -488,8 +489,11 @@ double TimeBatchMs(core::LocalizationEngine& engine,
   return best;
 }
 
-/// The observability self-check (ISSUE: enabled overhead <= 2% on fig9):
-/// the same engine and workload with metric recording on vs runtime-off.
+/// The observability self-check: the same engine and workload with metric
+/// recording on vs runtime-off. On and off blocks alternate in pairs (the
+/// first side alternating too), so a drift in machine speed lands on both
+/// sides of a pair; the gate reads the median of the per-pair overheads,
+/// which one disturbed block cannot move.
 ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
   std::cerr << "measuring metrics-substrate overhead on the fig9 "
                "workload...\n";
@@ -513,22 +517,30 @@ ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
               << admin.port() << "\n";
   }
 
+  constexpr int kPairs = 8;
+  const auto timed = [&](bool enabled) {
+    obs::SetMetricsEnabled(enabled);
+    return TimeBatchMs(engine, dataset, 1);
+  };
+  std::vector<double> enabled_ms, disabled_ms, pair_pct;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const bool enabled_first = pair % 2 == 0;
+    const double first = timed(enabled_first);
+    const double second = timed(!enabled_first);
+    const double on = enabled_first ? first : second;
+    const double off = enabled_first ? second : first;
+    enabled_ms.push_back(on);
+    disabled_ms.push_back(off);
+    pair_pct.push_back(100.0 * (on - off) / off);
+  }
+  obs::SetMetricsEnabled(true);
+
   ObsOverhead result;
-  obs::SetMetricsEnabled(true);
-  result.enabled_stats = bloc::bench::MeasureRepeated(
-      1, 5, [&] { return TimeBatchMs(engine, dataset, 1); });
-  obs::SetMetricsEnabled(false);
-  result.disabled_stats = bloc::bench::MeasureRepeated(
-      1, 5, [&] { return TimeBatchMs(engine, dataset, 1); });
-  obs::SetMetricsEnabled(true);
-  // The overhead gate compares minima — both numbers carry only additive
-  // scheduler noise, and a percent-level comparison of means would flap.
-  result.enabled_ms_per_round = result.enabled_stats.min;
-  result.disabled_ms_per_round = result.disabled_stats.min;
-  result.overhead_pct = 100.0 *
-                        (result.enabled_ms_per_round -
-                         result.disabled_ms_per_round) /
-                        result.disabled_ms_per_round;
+  result.enabled_stats = bloc::bench::Stats::Of(enabled_ms);
+  result.disabled_stats = bloc::bench::Stats::Of(disabled_ms);
+  result.enabled_ms_per_round = result.enabled_stats.p50;
+  result.disabled_ms_per_round = result.disabled_stats.p50;
+  result.overhead_pct = bloc::bench::Stats::Of(pair_pct).p50;
 
   std::cout << "\n=== observability overhead (fig9 workload, 1 thread) ===\n"
             << "  admin endpoint    127.0.0.1:" << admin.port()
@@ -537,26 +549,26 @@ ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
                           : std::string("FAILED"))
             << ")\n"
             << "  metrics enabled   " << result.enabled_ms_per_round
-            << " ms/round (p50 " << result.enabled_stats.p50 << ", stddev "
+            << " ms/round (min " << result.enabled_stats.min << ", stddev "
             << result.enabled_stats.stddev << ")\n"
             << "  metrics disabled  " << result.disabled_ms_per_round
-            << " ms/round (p50 " << result.disabled_stats.p50 << ", stddev "
+            << " ms/round (min " << result.disabled_stats.min << ", stddev "
             << result.disabled_stats.stddev << ")\n"
-            << "  overhead          " << result.overhead_pct << " %\n";
+            << "  overhead          " << result.overhead_pct
+            << " % (median of " << kPairs << " alternating pairs)\n";
   return result;
 }
 
 // ---------------------------------------------------------------------------
 // Soak mode (--mode=soak): thousands of simulated concurrent tags replay
 // dataset rounds through serve::LocalizationService over producer threads,
-// sweeping tag count x shard count x producer threads. Reports rounds/sec
+// sweeping tag count x producer threads. Reports rounds/sec
 // (bench::Stats over K reps) and p50/p99/p999 end-to-end latency from the
 // serve.e2e_latency_us histogram, plus a bare 1-thread engine baseline;
 // every position is checked bit-identical to the serial engine.
 
 struct SoakConfig {
   std::vector<std::size_t> tags{1000};
-  std::vector<std::size_t> shards{1, 8, 64};
   std::vector<std::size_t> producers{4};
   std::size_t rounds_per_tag = 2;
   std::size_t reps = 3;
@@ -567,7 +579,6 @@ struct SoakConfig {
 
 struct SoakPoint {
   std::size_t tags = 0;
-  std::size_t shards = 0;
   std::size_t producers = 0;
   bloc::bench::Stats rounds_per_sec;
   double p50_us = 0.0;
@@ -791,111 +802,106 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
   for (const std::size_t tags : config.tags) {
     const std::vector<std::vector<std::size_t>> picks =
         MakePicks(tags, config.rounds_per_tag, dataset.rounds.size());
-    for (const std::size_t shards : config.shards) {
-      for (const std::size_t producers : config.producers) {
-        serve::ServiceOptions so;
-        so.shards = shards;
-        so.shed_policy = config.shed_policy;
-        serve::LocalizationService service(
-            dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
+    for (const std::size_t producers : config.producers) {
+      serve::ServiceOptions so;
+      so.shed_policy = config.shed_policy;
+      serve::LocalizationService service(
+          dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
 
-        // The callback runs on the single assembler thread; `delivered`
-        // needs no lock. Updates for one tag must arrive in round order
-        // and carry the serial engine's exact position.
-        std::atomic<std::uint64_t> updates{0};
-        std::atomic<std::uint64_t> mismatches{0};
-        std::atomic<std::uint64_t> order_violations{0};
-        std::vector<std::uint64_t> delivered(tags, 0);
-        service.SetUpdateCallback([&](const serve::PositionUpdate& u) {
-          updates.fetch_add(1, std::memory_order_relaxed);
-          const std::uint64_t expected_round =
-              delivered[u.tag_id] % config.rounds_per_tag;
-          ++delivered[u.tag_id];
-          if (u.round_id != expected_round) {
-            order_violations.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          const core::LocationResult& ref =
-              reference[picks[u.tag_id][u.round_id]];
-          if (u.result.position.x != ref.position.x ||
-              u.result.position.y != ref.position.y ||
-              u.result.score != ref.score) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-        service.Start();
-        if (admin != nullptr) admin->Attach(&service);
-
-        // The in-bench scrape client runs concurrently with the measured
-        // passes — exactly what an external Prometheus would do.
-        std::thread scraper;
-        std::vector<std::string> point_failures;
-        if (admin != nullptr && scrape_failures != nullptr) {
-          scraper = std::thread(
-              [&] { point_failures = ScrapeAdminMidRun(admin->port()); });
+      // The callback runs on the single assembler thread; `delivered`
+      // needs no lock. Updates for one tag must arrive in round order
+      // and carry the serial engine's exact position.
+      std::atomic<std::uint64_t> updates{0};
+      std::atomic<std::uint64_t> mismatches{0};
+      std::atomic<std::uint64_t> order_violations{0};
+      std::vector<std::uint64_t> delivered(tags, 0);
+      service.SetUpdateCallback([&](const serve::PositionUpdate& u) {
+        updates.fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t expected_round =
+            delivered[u.tag_id] % config.rounds_per_tag;
+        ++delivered[u.tag_id];
+        if (u.round_id != expected_round) {
+          order_violations.fetch_add(1, std::memory_order_relaxed);
+          return;
         }
-
-        const obs::Snapshot before = obs::Snapshot::Capture();
-        std::atomic<std::uint64_t> retries{0};
-        const bloc::bench::Stats stats = bloc::bench::MeasureRepeated(
-            config.warmup, config.reps, [&] {
-              const double sec =
-                  RunSoakPass(service, dataset, picks, producers,
-                              config.rounds_per_tag, retries);
-              return static_cast<double>(tags * config.rounds_per_tag) / sec;
-            });
-        const obs::Delta delta =
-            obs::Delta::Between(before, obs::Snapshot::Capture());
-        if (scraper.joinable()) scraper.join();
-        if (admin != nullptr) admin->Attach(nullptr);
-        service.Stop();
-        if (scrape_failures != nullptr) {
-          for (const std::string& failure : point_failures) {
-            scrape_failures->push_back(
-                "tags=" + std::to_string(tags) + " shards=" +
-                std::to_string(shards) + ": " + failure);
-          }
+        const core::LocationResult& ref =
+            reference[picks[u.tag_id][u.round_id]];
+        if (u.result.position.x != ref.position.x ||
+            u.result.position.y != ref.position.y ||
+            u.result.score != ref.score) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
         }
+      });
+      service.Start();
+      if (admin != nullptr) admin->Attach(&service);
 
-        SoakPoint point;
-        point.tags = tags;
-        point.shards = service.shard_count();
-        point.producers = producers;
-        point.rounds_per_sec = stats;
-        point.p50_us = IntervalQuantile(delta, "serve.e2e_latency_us", 0.50);
-        point.p99_us = IntervalQuantile(delta, "serve.e2e_latency_us", 0.99);
-        point.p999_us =
-            IntervalQuantile(delta, "serve.e2e_latency_us", 0.999);
-        point.retries = retries.load();
-        point.counters = service.Counters();
-        point.updates = updates.load();
-        const std::uint64_t expected = (config.warmup + config.reps) * tags *
-                                       config.rounds_per_tag;
-        point.lost_rounds = expected - std::min<std::uint64_t>(
-                                           expected, point.updates);
-        point.parity_mismatches = mismatches.load();
-        point.order_violations = order_violations.load();
-        result.points.push_back(point);
-
-        result.total_lost += point.lost_rounds;
-        result.total_mismatches += point.parity_mismatches;
-        result.total_order_violations += point.order_violations;
-        result.total_shed += point.counters.shed_rounds;
-        result.total_expired += point.counters.expired_rounds;
-        result.total_duplicates += point.counters.duplicate_frames;
-        result.worst_p99_us = std::max(result.worst_p99_us, point.p99_us);
-
-        std::cout << "  tags=" << tags << " shards=" << point.shards
-                  << " producers=" << producers
-                  << " engine_threads=" << service.engine().threads() << "  "
-                  << stats.mean << " rounds/sec (stddev " << stats.stddev
-                  << ")  p50=" << point.p50_us / 1e3
-                  << "ms p99=" << point.p99_us / 1e3
-                  << "ms p999=" << point.p999_us / 1e3 << "ms  lost="
-                  << point.lost_rounds << " mismatch="
-                  << point.parity_mismatches << " retries=" << point.retries
-                  << "\n";
+      // The in-bench scrape client runs concurrently with the measured
+      // passes — exactly what an external Prometheus would do.
+      std::thread scraper;
+      std::vector<std::string> point_failures;
+      if (admin != nullptr && scrape_failures != nullptr) {
+        scraper = std::thread(
+            [&] { point_failures = ScrapeAdminMidRun(admin->port()); });
       }
+
+      const obs::Snapshot before = obs::Snapshot::Capture();
+      std::atomic<std::uint64_t> retries{0};
+      const bloc::bench::Stats stats = bloc::bench::MeasureRepeated(
+          config.warmup, config.reps, [&] {
+            const double sec =
+                RunSoakPass(service, dataset, picks, producers,
+                            config.rounds_per_tag, retries);
+            return static_cast<double>(tags * config.rounds_per_tag) / sec;
+          });
+      const obs::Delta delta =
+          obs::Delta::Between(before, obs::Snapshot::Capture());
+      if (scraper.joinable()) scraper.join();
+      if (admin != nullptr) admin->Attach(nullptr);
+      service.Stop();
+      if (scrape_failures != nullptr) {
+        for (const std::string& failure : point_failures) {
+          scrape_failures->push_back(
+              "tags=" + std::to_string(tags) + " producers=" +
+              std::to_string(producers) + ": " + failure);
+        }
+      }
+
+      SoakPoint point;
+      point.tags = tags;
+      point.producers = producers;
+      point.rounds_per_sec = stats;
+      point.p50_us = IntervalQuantile(delta, "serve.e2e_latency_us", 0.50);
+      point.p99_us = IntervalQuantile(delta, "serve.e2e_latency_us", 0.99);
+      point.p999_us =
+          IntervalQuantile(delta, "serve.e2e_latency_us", 0.999);
+      point.retries = retries.load();
+      point.counters = service.Counters();
+      point.updates = updates.load();
+      const std::uint64_t expected = (config.warmup + config.reps) * tags *
+                                     config.rounds_per_tag;
+      point.lost_rounds =
+          expected - std::min<std::uint64_t>(expected, point.updates);
+      point.parity_mismatches = mismatches.load();
+      point.order_violations = order_violations.load();
+      result.points.push_back(point);
+
+      result.total_lost += point.lost_rounds;
+      result.total_mismatches += point.parity_mismatches;
+      result.total_order_violations += point.order_violations;
+      result.total_shed += point.counters.shed_rounds;
+      result.total_expired += point.counters.expired_rounds;
+      result.total_duplicates += point.counters.duplicate_frames;
+      result.worst_p99_us = std::max(result.worst_p99_us, point.p99_us);
+
+      std::cout << "  tags=" << tags << " producers=" << producers
+                << " engine_threads=" << service.engine().threads() << "  "
+                << stats.mean << " rounds/sec (stddev " << stats.stddev
+                << ")  p50=" << point.p50_us / 1e3
+                << "ms p99=" << point.p99_us / 1e3
+                << "ms p999=" << point.p999_us / 1e3 << "ms  lost="
+                << point.lost_rounds << " mismatch="
+                << point.parity_mismatches << " retries=" << point.retries
+                << "\n";
     }
   }
 
@@ -994,9 +1000,8 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
 
   const auto pass = [&]() -> double {
     serve::ServiceOptions so;
-    so.shards = 8;
     // The OnMessage path cannot retry a refused frame (TCP gives the sender
-    // no backpressure signal), so the rings are sized for the whole pass.
+    // no backpressure signal), so the ring is sized for the whole pass.
     so.ring_capacity = smoke.tags * smoke.rounds_per_tag *
                        dataset.deployment.anchors.size();
     serve::LocalizationService service(
@@ -1096,8 +1101,8 @@ void WriteSoakJson(std::ostream& out, const SoakResult& soak) {
       << "    \"points\": [\n";
   for (std::size_t i = 0; i < soak.points.size(); ++i) {
     const SoakPoint& p = soak.points[i];
-    out << "      {\"tags\": " << p.tags << ", \"shards\": " << p.shards
-        << ", \"producers\": " << p.producers << ", \"rounds_per_sec\": ";
+    out << "      {\"tags\": " << p.tags << ", \"producers\": "
+        << p.producers << ", \"rounds_per_sec\": ";
     p.rounds_per_sec.WriteJson(out);
     out << ", \"p50_us\": " << p.p50_us << ", \"p99_us\": " << p.p99_us
         << ", \"p999_us\": " << p.p999_us << ", \"retries\": " << p.retries
@@ -1393,8 +1398,6 @@ int main(int argc, char** argv) {
       dataset_locations = std::stoul(std::string(arg.substr(20)));
     } else if (arg.starts_with("--tags=")) {
       soak_config.tags = parse_csv(arg.substr(7));
-    } else if (arg.starts_with("--shards=")) {
-      soak_config.shards = parse_csv(arg.substr(9));
     } else if (arg.starts_with("--producers=")) {
       soak_config.producers = parse_csv(arg.substr(12));
     } else if (arg.starts_with("--rounds-per-tag=")) {

@@ -192,29 +192,13 @@ std::string AdminServer::Respond(const std::string& path) {
     obs::WritePrometheus(body, obs::Snapshot::Capture());
     std::lock_guard lock(service_mutex_);
     if (service_ != nullptr) {
-      // Per-shard gauges carry a shard label; the registry-wide series
-      // above stay label-free.
+      // The service's rolling-window quantiles behind /healthz; the ring
+      // depth and round counters are already registry series above.
       const ServiceHealthStats stats = service_->HealthStats();
-      body << "# TYPE bloc_serve_shard_ring_depth gauge\n";
-      for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-        body << "bloc_serve_shard_ring_depth{shard=\"" << i << "\"} "
-             << stats.shards[i].ring_depth << "\n";
-      }
-      body << "# TYPE bloc_serve_shard_localized_rounds counter\n";
-      for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-        body << "bloc_serve_shard_localized_rounds{shard=\"" << i << "\"} "
-             << stats.shards[i].localized_rounds << "\n";
-      }
-      body << "# TYPE bloc_serve_shard_window_p50_us gauge\n";
-      for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-        body << "bloc_serve_shard_window_p50_us{shard=\"" << i << "\"} "
-             << stats.shards[i].window_p50_us << "\n";
-      }
-      body << "# TYPE bloc_serve_shard_window_p99_us gauge\n";
-      for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-        body << "bloc_serve_shard_window_p99_us{shard=\"" << i << "\"} "
-             << stats.shards[i].window_p99_us << "\n";
-      }
+      body << "# TYPE bloc_serve_window_p50_us gauge\n"
+           << "bloc_serve_window_p50_us " << stats.window_p50_us << "\n"
+           << "# TYPE bloc_serve_window_p99_us gauge\n"
+           << "bloc_serve_window_p99_us " << stats.window_p99_us << "\n";
     }
     return HttpResponse("200 OK", "text/plain; version=0.0.4", body.str());
   }

@@ -2,8 +2,9 @@
 // interface exposing a live process's telemetry:
 //
 //   /metrics  Prometheus text exposition of the whole metrics registry
-//             (obs/prometheus.h), plus per-shard ring-depth / rolling
-//             latency series when a LocalizationService is attached.
+//             (obs/prometheus.h), plus the service's rolling-window
+//             latency quantiles (bloc_serve_window_p50_us / _p99_us)
+//             when a LocalizationService is attached.
 //   /healthz  SLO verdict from serve/health.h over HealthStats() — 200
 //             when healthy (or warming up), 503 when degraded. Body is the
 //             HealthReport JSON either way.
@@ -48,7 +49,7 @@ class AdminServer {
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  /// Swap the service behind /healthz and the per-shard /metrics series
+  /// Swap the service behind /healthz and the window /metrics series
   /// (nullptr detaches). Safe while scrapers are connected; the soak bench
   /// re-attaches per sweep point.
   void Attach(LocalizationService* service);

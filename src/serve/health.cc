@@ -43,19 +43,7 @@ HealthReport EvaluateHealth(const ServiceHealthStats& stats,
         {std::move(name), value, budget, value <= budget});
   };
 
-  // Worst recent p99 across shards: a single hot shard must not hide
-  // behind seven idle ones.
-  double worst_p99_us = 0.0;
-  std::size_t max_depth = 0;
-  std::size_t total_depth = 0;
-  for (const ShardHealth& s : stats.shards) {
-    if (s.window_samples > 0) {
-      worst_p99_us = std::max(worst_p99_us, s.window_p99_us);
-    }
-    max_depth = std::max(max_depth, s.ring_depth);
-    total_depth += s.ring_depth;
-  }
-  add("e2e_p99_ms", worst_p99_us / 1000.0, policy.p99_budget_ms);
+  add("e2e_p99_ms", stats.window_p99_us / 1000.0, policy.p99_budget_ms);
   add("shed_ratio", Ratio(c.shed_rounds, c.completed_rounds),
       policy.max_shed_ratio);
   add("refused_ratio",
@@ -65,17 +53,6 @@ HealthReport EvaluateHealth(const ServiceHealthStats& stats,
       policy.max_expired_ratio);
   add("locate_error_ratio", Ratio(c.locate_errors, c.completed_rounds),
       policy.max_locate_error_ratio);
-
-  const double mean_depth =
-      stats.shards.empty()
-          ? 0.0
-          : static_cast<double>(total_depth) /
-                static_cast<double>(stats.shards.size());
-  // Only meaningful with real backlog: with a mean under one frame, any
-  // momentary burst on one shard would read as "imbalance".
-  const double imbalance =
-      mean_depth >= 1.0 ? static_cast<double>(max_depth) / mean_depth : 0.0;
-  add("shard_imbalance", imbalance, policy.max_shard_imbalance);
 
   if (report.warming_up) {
     // Checks are reported for visibility but not enforced.

@@ -22,7 +22,7 @@ namespace bloc::serve {
 /// Budgets for the /healthz verdict. Defaults match the soak bench's SLO
 /// gates (p99 budget) plus loose sanity bands on loss and errors.
 struct HealthPolicy {
-  /// Worst per-shard rolling-window p99 end-to-end latency.
+  /// Rolling-window p99 end-to-end latency.
   double p99_budget_ms = 250.0;
   /// shed rounds / completed rounds.
   double max_shed_ratio = 0.01;
@@ -32,9 +32,6 @@ struct HealthPolicy {
   double max_expired_ratio = 0.05;
   /// rounds dropped because Locate threw / completed rounds.
   double max_locate_error_ratio = 0.01;
-  /// max shard ring depth vs the mean depth (only judged when the mean is
-  /// at least one frame — idle shards make any ratio meaningless).
-  double max_shard_imbalance = 16.0;
   /// Below this many rounds out of the engine (localized plus dropped by a
   /// throwing Locate) the verdict is "warming up": healthy, with every check
   /// reported but none enforced.

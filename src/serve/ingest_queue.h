@@ -2,7 +2,7 @@
 // (DESIGN.md §5f). Dmitry Vyukov's bounded queue: every cell carries a
 // sequence number that producers and the consumer advance in acquire/release
 // pairs, so TryPush is safe from any number of producer threads while
-// TryPop runs on the shard's single assembler. The ring never allocates
+// TryPop runs on the service's single assembler. The ring never allocates
 // after construction — a full ring refuses the push (the service's
 // backpressure signal) instead of growing.
 //

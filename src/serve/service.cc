@@ -11,6 +11,12 @@ namespace {
 
 constexpr std::size_t kDrainBatch = 64;
 
+std::vector<std::uint32_t> SortedAnchorIds(const core::Deployment& deployment) {
+  std::vector<std::uint32_t> ids = deployment.AnchorIds();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 }  // namespace
 
 /// Registry handles, resolved once per process (obs/metrics.h dedupes by
@@ -43,22 +49,14 @@ LocalizationService::LocalizationService(core::Deployment deployment,
                                          ServiceOptions options)
     : options_(std::move(options)),
       engine_(deployment, std::move(config),
-              {.threads = options_.engine_threads}) {
-  options_.shards = RingCapacityFor(std::max<std::size_t>(options_.shards, 1));
+              {.threads = options_.engine_threads}),
+      anchor_ids_(SortedAnchorIds(deployment)),
+      ring_(options_.ring_capacity) {
   if (options_.max_inflight_locates == 0) {
     options_.max_inflight_locates = 4 * engine_.threads();
   }
   options_.max_assembling_rounds =
       std::max<std::size_t>(options_.max_assembling_rounds, 1);
-  shards_.reserve(options_.shards);
-  for (std::size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(
-        std::make_unique<TagSessionShard>(options_.ring_capacity));
-  }
-  auto ids = std::make_shared<std::vector<std::uint32_t>>(
-      deployment.AnchorIds());
-  std::sort(ids->begin(), ids->end());
-  anchor_view_ = std::move(ids);
   accepting_.store(true, std::memory_order_release);
 }
 
@@ -80,7 +78,7 @@ void LocalizationService::Stop() {
     // Let the assembler finish the admitted work before asking it out:
     // incomplete rounds awaiting more frames are not work (their frames can
     // no longer arrive), in-flight localizations and ring residue are.
-    while (frames_in_rings_.load(std::memory_order_acquire) > 0 ||
+    while (frames_in_ring_.load(std::memory_order_acquire) > 0 ||
            inflight_locates_.load(std::memory_order_acquire) > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -92,7 +90,7 @@ void LocalizationService::Stop() {
 
 bool LocalizationService::Drain(std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (frames_in_rings_.load(std::memory_order_acquire) > 0 ||
+  while (frames_in_ring_.load(std::memory_order_acquire) > 0 ||
          inflight_locates_.load(std::memory_order_acquire) > 0) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -108,15 +106,13 @@ bool LocalizationService::Ingest(std::uint64_t tag_id,
     metrics.refused.Inc();
     return false;
   }
-  TagSessionShard& shard = *shards_[ShardOf(tag_id)];
   TagFrame frame{tag_id, obs::NowNs(), std::move(report)};
-  if (!shard.ring.TryPush(std::move(frame))) {
+  if (!ring_.TryPush(std::move(frame))) {
     refused_frames_.fetch_add(1, std::memory_order_relaxed);
     metrics.refused.Inc();
     return false;
   }
-  frames_in_rings_.fetch_add(1, std::memory_order_release);
-  shard.depth.fetch_add(1, std::memory_order_relaxed);
+  frames_in_ring_.fetch_add(1, std::memory_order_release);
   // Sequentially consistent with the sleepers_ load below (and with the
   // assembler's sleepers_ increment before its re-check in WaitForWork):
   // either this frame is seen before the assembler sleeps, or the
@@ -138,25 +134,17 @@ void LocalizationService::OnMessage(const net::Message& msg) {
     Ingest(0, report->report);
     return;
   }
-  if (const auto* hello = std::get_if<net::AnchorHelloMsg>(&msg)) {
-    std::lock_guard lock(anchors_mutex_);
-    auto next = std::make_shared<std::vector<std::uint32_t>>(*anchor_view_);
-    const auto it =
-        std::lower_bound(next->begin(), next->end(), hello->anchor_id);
-    if (it == next->end() || *it != hello->anchor_id) {
-      next->insert(it, hello->anchor_id);
-      anchor_view_ = std::move(next);  // new sessions see the new view
-    }
-    return;
-  }
-  // LocationEstimateMsg flows server -> clients; ignore on ingest.
+  // AnchorHelloMsg is ignored: the anchor set is the deployment's, whose
+  // positions and arrays the localizer was built from. A hello cannot give
+  // the localizer an anchor it has no geometry for, and a hello from a
+  // deployed anchor changes nothing. LocationEstimateMsg flows server ->
+  // clients; ignore it on ingest too.
 }
 
 std::optional<PositionUpdate> LocalizationService::Poll(std::uint64_t tag_id) {
-  TagSessionShard& shard = *shards_[ShardOf(tag_id)];
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.sessions.find(tag_id);
-  if (it == shard.sessions.end() || it->second.ready.empty()) {
+  std::lock_guard lock(mutex_);
+  const auto it = sessions_.find(tag_id);
+  if (it == sessions_.end() || it->second.ready.empty()) {
     return std::nullopt;
   }
   PositionUpdate update = std::move(it->second.ready.front());
@@ -181,42 +169,30 @@ ServiceCounters LocalizationService::Counters() const {
 }
 
 std::size_t LocalizationService::RingDepth() const {
-  return frames_in_rings_.load(std::memory_order_relaxed);
+  return frames_in_ring_.load(std::memory_order_relaxed);
 }
 
 ServiceHealthStats LocalizationService::HealthStats() const {
   ServiceHealthStats stats;
   stats.counters = Counters();
+  stats.ring_depth = RingDepth();
   stats.inflight_locates = InflightLocates();
-  stats.shards.reserve(shards_.size());
   std::vector<std::uint32_t> window;
-  window.reserve(TagSessionShard::kLatencyWindow);
-  for (const auto& shard_ptr : shards_) {
-    TagSessionShard& shard = *shard_ptr;
-    ShardHealth sh;
-    sh.ring_depth = shard.depth.load(std::memory_order_relaxed);
-    window.clear();
-    {
-      std::lock_guard lock(shard.mutex);
-      sh.localized_rounds = shard.localized_rounds;
-      const std::size_t valid =
-          std::min<std::uint64_t>(shard.latency_recorded,
-                                  TagSessionShard::kLatencyWindow);
-      window.assign(shard.latency_window.begin(),
-                    shard.latency_window.begin() + valid);
-    }
-    sh.window_samples = window.size();
-    if (!window.empty()) {
-      std::sort(window.begin(), window.end());
-      const auto at = [&window](double q) {
-        const std::size_t idx = static_cast<std::size_t>(
-            q * static_cast<double>(window.size() - 1) + 0.5);
-        return static_cast<double>(window[std::min(idx, window.size() - 1)]);
-      };
-      sh.window_p50_us = at(0.50);
-      sh.window_p99_us = at(0.99);
-    }
-    stats.shards.push_back(sh);
+  {
+    std::lock_guard lock(mutex_);
+    const std::size_t valid =
+        std::min<std::uint64_t>(latency_recorded_, kLatencyWindow);
+    window.assign(latency_window_.begin(), latency_window_.begin() + valid);
+  }
+  if (!window.empty()) {
+    std::sort(window.begin(), window.end());
+    const auto at = [&window](double q) {
+      const std::size_t idx = static_cast<std::size_t>(
+          q * static_cast<double>(window.size() - 1) + 0.5);
+      return static_cast<double>(window[std::min(idx, window.size() - 1)]);
+    };
+    stats.window_p50_us = at(0.50);
+    stats.window_p99_us = at(0.99);
   }
   return stats;
 }
@@ -232,15 +208,11 @@ void LocalizationService::AssemblerLoop() {
     // and keeps the wait below from sleeping through it.
     const std::uint64_t frames_seen = admitted_frames_.load();
     const std::uint64_t locates_seen = locates_done_.load();
-    std::size_t work = 0;
-    for (const auto& shard : shards_) {
-      work += DrainShardRing(*shard);
-      work += SweepCompletions(*shard);
-    }
+    const std::size_t work = DrainRing() + SweepCompletions();
     const std::uint64_t now = obs::NowNs();
     if (now - last_gc_ns >= gc_period_ns) {
       last_gc_ns = now;
-      for (const auto& shard : shards_) CollectGarbage(*shard, now);
+      CollectGarbage(now);
     }
     if (work == 0) {
       WaitForWork(frames_seen, locates_seen,
@@ -266,43 +238,36 @@ void LocalizationService::WakeAssembler() {
   wake_cv_.notify_all();
 }
 
-std::size_t LocalizationService::DrainShardRing(TagSessionShard& shard) {
+std::size_t LocalizationService::DrainRing() {
   const Metrics& metrics = Metrics::Get();
   std::size_t popped = 0;
-  std::unique_lock lock(shard.mutex, std::defer_lock);
+  std::unique_lock lock(mutex_, std::defer_lock);
   TagFrame frame;
-  while (popped < kDrainBatch && shard.ring.TryPop(frame)) {
+  while (popped < kDrainBatch && ring_.TryPop(frame)) {
     if (!lock.owns_lock()) lock.lock();
-    Assemble(shard, lock, std::move(frame));
+    Assemble(lock, std::move(frame));
     // Decrement only after assembly so Drain() never observes an
     // all-zero instant while a frame is between the ring and the engine
     // (AdmitRound raises inflight_locates_ before this drops to zero).
-    frames_in_rings_.fetch_sub(1, std::memory_order_release);
-    shard.depth.fetch_sub(1, std::memory_order_relaxed);
+    frames_in_ring_.fetch_sub(1, std::memory_order_release);
     metrics.ring_depth.Sub(1);
     ++popped;
   }
   return popped;
 }
 
-void LocalizationService::Assemble(TagSessionShard& shard,
-                                   std::unique_lock<std::mutex>& lock,
+void LocalizationService::Assemble(std::unique_lock<std::mutex>& lock,
                                    TagFrame&& frame) {
   const Metrics& metrics = Metrics::Get();
-  auto [it, created] = shard.sessions.try_emplace(frame.tag_id);
+  auto [it, created] = sessions_.try_emplace(frame.tag_id);
   TagSession& session = it->second;
-  if (created) {
-    session.tracker = track::KalmanTracker(options_.kalman);
-    std::lock_guard anchors_lock(anchors_mutex_);
-    session.anchors = anchor_view_;
-  }
+  if (created) session.tracker = track::KalmanTracker(options_.kalman);
   session.last_activity_ns = frame.ingest_ns;
-  const std::vector<std::uint32_t>& anchors = *session.anchors;
-  if (!std::binary_search(anchors.begin(), anchors.end(),
+  if (!std::binary_search(anchor_ids_.begin(), anchor_ids_.end(),
                           frame.report.anchor_id)) {
     refused_frames_.fetch_add(1, std::memory_order_relaxed);
     metrics.refused.Inc();
-    return;  // not part of this session's registered-anchor view
+    return;  // not an anchor of the deployment
   }
 
   const std::uint64_t round_id = frame.report.round_id;
@@ -327,7 +292,7 @@ void LocalizationService::Assemble(TagSessionShard& shard,
                    .emplace(round_id,
                             AssemblingRound{frame.ingest_ns, obs::NowNs(), {}})
                    .first;
-    round_it->second.reports.reserve(anchors.size());
+    round_it->second.reports.reserve(anchor_ids_.size());
   }
 
   AssemblingRound& round = round_it->second;
@@ -339,32 +304,29 @@ void LocalizationService::Assemble(TagSessionShard& shard,
     }
   }
   round.reports.push_back(std::move(frame.report));
-  if (round.reports.size() == anchors.size()) {
+  if (round.reports.size() == anchor_ids_.size()) {
     AssemblingRound completed = std::move(round);
     session.assembling.erase(round_it);
     session.inflight += 1;
-    AdmitRound(shard, lock, frame.tag_id, round_id, std::move(completed));
+    AdmitRound(lock, frame.tag_id, round_id, std::move(completed));
   }
 }
 
-void LocalizationService::AdmitRound(TagSessionShard& shard,
-                                     std::unique_lock<std::mutex>& lock,
+void LocalizationService::AdmitRound(std::unique_lock<std::mutex>& lock,
                                      std::uint64_t tag_id,
                                      std::uint64_t round_id,
                                      AssemblingRound&& round) {
   const Metrics& metrics = Metrics::Get();
   // Engine admission control: at the in-flight bound the assembler stalls
-  // (sweeping every shard so completions retire, and sleeping until the next
-  // one when none did) instead of queueing rounds without limit. The stall
-  // propagates: rings fill, producers get refusals.
+  // (sweeping so completions retire, and sleeping until the next one when
+  // none did) instead of queueing rounds without limit. The stall
+  // propagates: the ring fills, producers get refusals.
   while (inflight_locates_.load(std::memory_order_acquire) >=
          options_.max_inflight_locates) {
     lock.unlock();
     const std::uint64_t frames_seen = admitted_frames_.load();
     const std::uint64_t locates_seen = locates_done_.load();
-    std::size_t retired = 0;
-    for (const auto& s : shards_) retired += SweepCompletions(*s);
-    if (retired == 0) {
+    if (SweepCompletions() == 0) {
       WaitForWork(frames_seen, locates_seen, options_.round_timeout);
     }
     lock.lock();
@@ -383,7 +345,7 @@ void LocalizationService::AdmitRound(TagSessionShard& shard,
   // idle workers; with an inline pool (engine_threads = 1) this runs right
   // here on the assembler.
   InflightLocate* inflight = node.get();
-  shard.inflight.push_back(std::move(node));
+  inflight_.push_back(std::move(node));
   engine_.LocateAsync(inflight->round, inflight->result,
                       [this, inflight](std::exception_ptr error) {
                         inflight->error = std::move(error);
@@ -394,22 +356,22 @@ void LocalizationService::AdmitRound(TagSessionShard& shard,
                       });
 }
 
-std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
+std::size_t LocalizationService::SweepCompletions() {
   const Metrics& metrics = Metrics::Get();
   std::vector<PositionUpdate> callbacks;
   std::size_t retired = 0;
   {
-    std::lock_guard lock(shard.mutex);
+    std::lock_guard lock(mutex_);
     // Front-first delivery keeps per-tag updates in round order even when
     // the pool finishes later rounds before earlier ones.
-    while (!shard.inflight.empty() &&
-           shard.inflight.front()->done.load(std::memory_order_acquire)) {
-      std::unique_ptr<InflightLocate> node = std::move(shard.inflight.front());
-      shard.inflight.pop_front();
+    while (!inflight_.empty() &&
+           inflight_.front()->done.load(std::memory_order_acquire)) {
+      std::unique_ptr<InflightLocate> node = std::move(inflight_.front());
+      inflight_.pop_front();
       ++retired;
       const std::uint64_t now = obs::NowNs();
-      const auto it = shard.sessions.find(node->tag_id);
-      TagSession* session = it == shard.sessions.end() ? nullptr : &it->second;
+      const auto it = sessions_.find(node->tag_id);
+      TagSession* session = it == sessions_.end() ? nullptr : &it->second;
       if (session != nullptr) {
         session->inflight -= 1;
         session->last_activity_ns = now;
@@ -425,15 +387,12 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
       const std::uint64_t latency_us =
           (now - node->first_ingest_ns) / 1000;
       metrics.e2e_latency_us.Record(latency_us);
-      // Per-shard rolling window for /healthz: recent latency, not
-      // since-start. Under the shard mutex like every session mutation.
-      shard.latency_window[shard.latency_recorded %
-                           TagSessionShard::kLatencyWindow] =
+      // Rolling window for /healthz: recent latency, not since-start.
+      latency_window_[latency_recorded_ % kLatencyWindow] =
           latency_us > 0xffffffffull
               ? 0xffffffffu
               : static_cast<std::uint32_t>(latency_us);
-      ++shard.latency_recorded;
-      ++shard.localized_rounds;
+      ++latency_recorded_;
       localized_rounds_.fetch_add(1, std::memory_order_relaxed);
       metrics.localized.Inc();
 
@@ -485,7 +444,7 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
       RecycleNode(std::move(node));
     }
   }
-  // Callbacks run outside the shard mutex: user code must be free to call
+  // Callbacks run outside the service mutex: user code must be free to call
   // Poll()/Ingest() without deadlocking.
   for (PositionUpdate& update : callbacks) callback_(update);
   // The in-flight level drops only after the callbacks ran, so Drain()
@@ -497,15 +456,14 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
   return retired;
 }
 
-void LocalizationService::CollectGarbage(TagSessionShard& shard,
-                                         std::uint64_t now_ns) {
+void LocalizationService::CollectGarbage(std::uint64_t now_ns) {
   const Metrics& metrics = Metrics::Get();
   const auto timeout_ns =
       static_cast<std::uint64_t>(options_.round_timeout.count());
   const auto idle_ns =
       static_cast<std::uint64_t>(options_.session_idle_timeout.count());
-  std::lock_guard lock(shard.mutex);
-  for (auto it = shard.sessions.begin(); it != shard.sessions.end();) {
+  std::lock_guard lock(mutex_);
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
     TagSession& session = it->second;
     for (auto round = session.assembling.begin();
          round != session.assembling.end();) {
@@ -523,7 +481,7 @@ void LocalizationService::CollectGarbage(TagSessionShard& shard,
                       session.inflight == 0 &&
                       now_ns - session.last_activity_ns > idle_ns;
     it = idle ? (sessions_expired_.fetch_add(1, std::memory_order_relaxed),
-                 shard.sessions.erase(it))
+                 sessions_.erase(it))
               : std::next(it);
   }
 }

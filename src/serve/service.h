@@ -4,21 +4,22 @@
 // output position stream.
 //
 //   producers (transports / Ingest)          assembler thread
-//   ─ lock-free TryPush into the tag's ──►   drain rings -> assemble rounds
-//     shard ring; full ring = refusal        under the shard mutex; complete
-//                                            rounds feed LocateAsync; ready
-//                                            results flow to the callback or
-//                                            the per-tag Poll() backlog
+//   ─ lock-free TryPush into the one  ──►    drain the ring -> assemble
+//     ingest ring; full ring = refusal       rounds in the session table;
+//                                            complete rounds feed
+//                                            LocateAsync; ready results flow
+//                                            to the callback or the per-tag
+//                                            Poll() backlog
 //
 // Guarantees:
 //  - Per-tag FIFO: frames from one producer assemble in send order, and
 //    position updates for one tag are delivered in round order.
 //  - Positions are bit-identical to driving the same rounds through the
 //    serial Localizer / EvaluateBloc path (the service adds no math).
-//  - Bounded memory: rings are fixed-capacity, round assembly is bounded by
+//  - Bounded memory: the ring is fixed-capacity, round assembly is bounded by
 //    max_assembling_rounds x shed policy, engine admission is bounded by
 //    max_inflight_locates (saturation puts the assembler to sleep until a
-//    round completes, the rings fill, producers are refused — backpressure
+//    round completes, the ring fills, producers are refused — backpressure
 //    end to end), and
 //    round-timeout GC expires partial rounds from lossy anchors.
 //
@@ -31,32 +32,37 @@
 // duplicate,completed,localized,locate_errors} counters, serve.ring_depth and
 // serve.inflight_locates up/down gauges (exact levels + high watermarks),
 // and the serve.e2e_latency_us histogram that the soak bench's p50/p99/p999
-// SLO gates read. HealthStats() adds per-shard rolling-latency windows and
-// depth imbalance for the /healthz verdict (serve/health.h, serve/admin.h).
+// SLO gates read. HealthStats() adds the rolling-latency window behind the
+// /healthz verdict (serve/health.h, serve/admin.h).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bloc/engine.h"
 #include "net/transport.h"
+#include "serve/ingest_queue.h"
 #include "serve/session.h"
 
 namespace bloc::serve {
 
 struct ServiceOptions {
-  /// Session shards (rounded up to a power of two). Tags hash across
-  /// shards, so two tags on different shards never contend.
-  std::size_t shards = 8;
-  /// Per-shard ingest ring capacity (rounded up to a power of two). A full
-  /// ring refuses the frame — the hard backpressure edge.
-  std::size_t ring_capacity = 1024;
+  /// Ingest ring capacity (rounded up to a power of two). A full ring
+  /// refuses the frame — the hard backpressure edge. The default holds one
+  /// round from each of 500 four-anchor tags at once; a larger ring only
+  /// queues longer under sustained overload.
+  std::size_t ring_capacity = 2048;
   /// LocalizationEngine pool threads (0 = hardware_concurrency). Each
   /// round's per-anchor maps fan out across the pool, so below saturation
   /// a fix takes about one anchor map's time rather than all of them.
@@ -87,7 +93,7 @@ struct ServiceOptions {
 /// Monotonic per-instance counters (the registry counters aggregate across
 /// every service in the process; tests and the soak bench need this one's).
 struct ServiceCounters {
-  std::uint64_t admitted_frames = 0;   // accepted into a shard ring
+  std::uint64_t admitted_frames = 0;   // accepted into the ring
   std::uint64_t refused_frames = 0;    // ring full, refuse-new policy, or
                                        // unknown anchor / stopped service
   std::uint64_t duplicate_frames = 0;  // same anchor twice in one round
@@ -101,23 +107,16 @@ struct ServiceCounters {
   std::uint64_t sessions_expired = 0;  // idle sessions erased
 };
 
-/// One shard's contribution to the health verdict: current ring depth, the
-/// quantiles of its rolling e2e-latency window, and delivered-round volume.
-struct ShardHealth {
-  std::size_t ring_depth = 0;
-  std::uint64_t localized_rounds = 0;
-  std::size_t window_samples = 0;  // valid entries in the rolling window
-  double window_p50_us = 0.0;
-  double window_p99_us = 0.0;
-};
-
 /// Everything serve/health.h needs to render an SLO verdict, captured from
-/// a live service in one call (per-shard windows copied under each shard
-/// mutex — a cold path, fine at scrape rates).
+/// a live service in one call (the rolling window is copied under the
+/// service mutex — a cold path, fine at scrape rates).
 struct ServiceHealthStats {
   ServiceCounters counters;
-  std::vector<ShardHealth> shards;
+  std::size_t ring_depth = 0;
   std::size_t inflight_locates = 0;
+  /// Quantiles of the rolling e2e-latency window (0 before any delivery).
+  double window_p50_us = 0.0;
+  double window_p99_us = 0.0;
 };
 
 class LocalizationService : public net::MessageSink {
@@ -130,32 +129,32 @@ class LocalizationService : public net::MessageSink {
   LocalizationService& operator=(const LocalizationService&) = delete;
 
   /// Position-stream push mode: every localized round is delivered here
-  /// (from the assembler thread, never under a shard mutex). Set before
+  /// (from the assembler thread, never under the service mutex). Set before
   /// Start(); when unset, updates accumulate in the per-tag Poll() backlog.
   void SetUpdateCallback(std::function<void(const PositionUpdate&)> callback);
 
   /// Spawns the assembler thread. Frames ingested before Start() wait in
-  /// the rings. Idempotent.
+  /// the ring. Idempotent.
   void Start();
 
-  /// Stops accepting frames, drains the rings, waits for every in-flight
+  /// Stops accepting frames, drains the ring, waits for every in-flight
   /// localization, delivers its update, and joins. Idempotent; the
   /// destructor calls it.
   void Stop();
 
-  /// Blocks until all admitted frames have flowed through (rings empty, no
+  /// Blocks until all admitted frames have flowed through (ring empty, no
   /// round in the engine) or `timeout` elapses. Partial rounds awaiting
   /// more frames do not count as work. Returns true when drained.
   bool Drain(std::chrono::milliseconds timeout);
 
-  /// Lock-free producer entry point: stamps and routes the frame to its
-  /// tag's shard ring. False = refused (ring full or service stopped); the
+  /// Lock-free producer entry point: stamps the frame and pushes it into
+  /// the ingest ring. False = refused (ring full or service stopped); the
   /// frame is untouched, so the caller may retry under backpressure.
   bool Ingest(std::uint64_t tag_id, anchor::CsiReport report);
 
   /// Transport entry point. TagCsiReportMsg routes to its tag's session;
   /// a plain CsiReportMsg is adopted as tag 0 (single-tenant drop-in);
-  /// AnchorHelloMsg (re)registers the anchor view used by new sessions.
+  /// AnchorHelloMsg is ignored (the deployment fixes the anchor set).
   void OnMessage(const net::Message& msg) override;
 
   /// Pull mode: the oldest undelivered update for `tag_id`, if any.
@@ -164,16 +163,12 @@ class LocalizationService : public net::MessageSink {
   /// Consistent-enough snapshot of the per-instance counters.
   ServiceCounters Counters() const;
 
-  /// Counters plus per-shard depth and rolling-latency quantiles — the
-  /// input to serve/health.h's EvaluateHealth and the per-shard series on
-  /// the admin /metrics endpoint. Takes each shard mutex briefly.
+  /// Counters plus ring depth and rolling-latency quantiles — the input to
+  /// serve/health.h's EvaluateHealth and the window series on the admin
+  /// /metrics endpoint. Takes the service mutex briefly.
   ServiceHealthStats HealthStats() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t ShardOf(std::uint64_t tag_id) const {
-    return MixTagId(tag_id) & (shards_.size() - 1);
-  }
-  /// Frames resident in the rings right now (exact when producers quiesce).
+  /// Frames resident in the ring right now (exact when producers quiesce).
   std::size_t RingDepth() const;
   std::size_t InflightLocates() const {
     return inflight_locates_.load(std::memory_order_relaxed);
@@ -191,27 +186,24 @@ class LocalizationService : public net::MessageSink {
                    std::chrono::nanoseconds timeout);
   /// Wakes the assembler if it sleeps.
   void WakeAssembler();
-  /// Pops up to one batch from the shard ring and assembles. Returns the
-  /// number of frames consumed.
-  std::size_t DrainShardRing(TagSessionShard& shard);
+  /// Pops up to one batch from the ring and assembles. Returns the number
+  /// of frames consumed.
+  std::size_t DrainRing();
   /// One frame into its session, applying duplicate/shed/refuse rules;
-  /// caller holds the shard mutex via `lock`. May complete (and admit) a
+  /// caller holds the service mutex via `lock`. May complete (and admit) a
   /// round.
-  void Assemble(TagSessionShard& shard, std::unique_lock<std::mutex>& lock,
-                TagFrame&& frame);
+  void Assemble(std::unique_lock<std::mutex>& lock, TagFrame&& frame);
   /// Hands a completed round to the engine, stalling while the in-flight
-  /// bound is hit; caller holds the shard mutex (released while stalled so
-  /// the assembler can sweep every shard's completions and wait for the
-  /// next).
-  void AdmitRound(TagSessionShard& shard, std::unique_lock<std::mutex>& lock,
-                  std::uint64_t tag_id, std::uint64_t round_id,
-                  AssemblingRound&& round);
-  /// Retires every done round at the front of the shard's FIFO: delivers
+  /// bound is hit; caller holds the service mutex (released while stalled
+  /// so the assembler can sweep completions and wait for the next).
+  void AdmitRound(std::unique_lock<std::mutex>& lock, std::uint64_t tag_id,
+                  std::uint64_t round_id, AssemblingRound&& round);
+  /// Retires every done round at the front of the in-flight FIFO: delivers
   /// its update, or drops and counts the round when its Locate threw.
   /// Returns the number retired. Callbacks run outside the mutex.
-  std::size_t SweepCompletions(TagSessionShard& shard);
-  /// Round-timeout and idle-session GC over one shard.
-  void CollectGarbage(TagSessionShard& shard, std::uint64_t now_ns);
+  std::size_t SweepCompletions();
+  /// Round-timeout and idle-session GC.
+  void CollectGarbage(std::uint64_t now_ns);
 
   std::unique_ptr<InflightLocate> AcquireNode();
   void RecycleNode(std::unique_ptr<InflightLocate> node);
@@ -227,12 +219,25 @@ class LocalizationService : public net::MessageSink {
   std::atomic<std::uint64_t> locates_done_{0};
 
   core::LocalizationEngine engine_;
-  std::vector<std::unique_ptr<TagSessionShard>> shards_;
+  /// The deployment's anchor ids, sorted: a round is complete once each of
+  /// them has reported, and a frame from any other id is refused.
+  const std::vector<std::uint32_t> anchor_ids_;
 
-  /// Anchor view stamped into new sessions: deployment anchors at
-  /// construction, replaced by a fresh snapshot on AnchorHello.
-  std::mutex anchors_mutex_;
-  std::shared_ptr<const std::vector<std::uint32_t>> anchor_view_;
+  /// Producers touch only the ring (lock-free); the assembler, Poll() and
+  /// HealthStats() serialize on `mutex_` for everything below it.
+  BoundedMpscQueue<TagFrame> ring_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::uint64_t, TagSession> sessions_;
+  /// Admission-order FIFO of rounds in the engine; completions are
+  /// delivered front-first, so per-tag updates arrive in round order.
+  std::deque<std::unique_ptr<InflightLocate>> inflight_;
+  /// Rolling window of the most recent end-to-end latencies (us), written
+  /// by SweepCompletions and copied out by HealthStats. A fixed tail, not
+  /// a histogram: /healthz judges *recent* latency, not since-start
+  /// aggregates.
+  static constexpr std::size_t kLatencyWindow = 256;
+  std::array<std::uint32_t, kLatencyWindow> latency_window_{};
+  std::uint64_t latency_recorded_ = 0;  // total ever; window keeps the tail
 
   std::function<void(const PositionUpdate&)> callback_;
 
@@ -240,7 +245,7 @@ class LocalizationService : public net::MessageSink {
   std::atomic<bool> running_{false};
   std::atomic<bool> accepting_{false};
 
-  std::atomic<std::size_t> frames_in_rings_{0};
+  std::atomic<std::size_t> frames_in_ring_{0};
   std::atomic<std::size_t> inflight_locates_{0};
 
   // Per-instance counters (relaxed; exact once producers/assemblers stop).

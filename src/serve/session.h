@@ -1,28 +1,21 @@
 // Per-tag session state for the multi-tenant localization service
-// (DESIGN.md §5f): tag id -> registered-anchor view -> in-flight round
-// assembly, partitioned into N independent shards keyed by hash(tag_id).
-// Each shard owns one bounded lock-free ingest ring (producers never take a
-// lock) and one mutex covering its session table — taken only by the
-// shard's assembler and by Poll(), never by another shard's traffic. A
-// round in the engine waits in its shard's admission-order FIFO and
+// (DESIGN.md §5f): tag id -> in-flight round assembly and the Poll()
+// backlog. The service keeps every session in one table behind one mutex,
+// fed by one bounded lock-free ingest ring (producers never take a lock).
+// A round in the engine waits in the service's admission-order FIFO and
 // completes by a done flag the engine's completion sets.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "anchor/csi_report.h"
 #include "bloc/localizer.h"
 #include "net/messages.h"
-#include "serve/ingest_queue.h"
 #include "track/kalman.h"
 
 namespace bloc::serve {
@@ -38,8 +31,8 @@ enum class ShedPolicy : std::uint8_t {
   kRefuseNew,
 };
 
-/// One frame of one tag's measurement round, as it travels through a shard
-/// ring. `ingest_ns` is stamped when the producer's push is admitted and
+/// One frame of one tag's measurement round, as it travels through the
+/// ingest ring. `ingest_ns` is stamped when the producer's push is admitted and
 /// anchors the end-to-end (ingest -> position) latency histogram.
 struct TagFrame {
   std::uint64_t tag_id = 0;
@@ -78,12 +71,9 @@ struct AssemblingRound {
   std::vector<anchor::CsiReport> reports;
 };
 
-/// Per-tag session: the registered-anchor view this tag's rounds must
-/// satisfy, rounds under assembly, and the Poll() backlog. Lives inside one
-/// shard; round-timeout GC and idle expiry keep both maps bounded.
+/// Per-tag session: rounds under assembly, the Poll() backlog and the
+/// track. Round-timeout GC and idle expiry keep both maps bounded.
 struct TagSession {
-  /// Anchors whose reports complete a round (sorted ids, shared snapshot).
-  std::shared_ptr<const std::vector<std::uint32_t>> anchors;
   /// round_id -> partial round; std::map so the oldest (lowest) round id is
   /// O(1) to find for the shed-oldest policy.
   std::map<std::uint64_t, AssemblingRound> assembling;
@@ -93,7 +83,7 @@ struct TagSession {
   /// Rounds of this tag currently in the engine.
   std::size_t inflight = 0;
   /// Per-tag track over the delivered fixes (ServiceOptions::track). Only
-  /// touched by SweepCompletions under the shard mutex, in round order.
+  /// touched by SweepCompletions under the service mutex, in round order.
   track::KalmanTracker tracker;
   /// Round id of the last fix offered to the tracker; dt between rounds is
   /// (round_id - last) x ServiceOptions::round_period_s (the wire carries
@@ -118,41 +108,5 @@ struct InflightLocate {
   /// node, so the completion touches nothing of the node after the store.
   std::atomic<bool> done{false};
 };
-
-/// One lock domain of the service. Producers touch only `ring` (lock-free);
-/// the shard's assembler and Poll() serialize on `mutex`.
-struct TagSessionShard {
-  explicit TagSessionShard(std::size_t ring_capacity) : ring(ring_capacity) {}
-
-  BoundedMpscQueue<TagFrame> ring;
-  std::mutex mutex;
-  std::unordered_map<std::uint64_t, TagSession> sessions;
-  /// Admission-order FIFO of rounds in the engine; completions are
-  /// delivered front-first, so per-tag updates arrive in round order.
-  std::deque<std::unique_ptr<InflightLocate>> inflight;
-
-  /// Frames resident in this shard's ring (Ingest raises it lock-free, the
-  /// assembler lowers it after assembly) — the shard-imbalance signal for
-  /// serve/health.h.
-  std::atomic<std::size_t> depth{0};
-
-  /// Rolling window of the most recent end-to-end latencies (us), written
-  /// by SweepCompletions under `mutex` and copied out under the same mutex
-  /// by LocalizationService::HealthStats. A fixed tail, not a histogram:
-  /// /healthz judges *recent* latency, not since-start aggregates.
-  static constexpr std::size_t kLatencyWindow = 256;
-  std::array<std::uint32_t, kLatencyWindow> latency_window{};
-  std::uint64_t latency_recorded = 0;  // total ever; window keeps the tail
-  std::uint64_t localized_rounds = 0;  // delivered from this shard
-};
-
-/// splitmix64 finalizer — the shard hash. Adjacent tag ids land on
-/// uncorrelated shards.
-constexpr std::uint64_t MixTagId(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 }  // namespace bloc::serve

@@ -1,5 +1,5 @@
 // Tests for the multi-tenant localization service (serve/): the lock-free
-// ingest ring, sharded session assembly, backpressure/shed policies,
+// ingest ring, session assembly in one table, backpressure/shed policies,
 // round-timeout GC, the position stream, and bit-identical parity with the
 // serial engine path.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -166,24 +165,12 @@ constexpr std::chrono::milliseconds kDrain{120000};
 // ---------------------------------------------------------------------------
 // Core behavior
 
-TEST(LocalizationService, ShardCountRoundsUpAndHashesSpread) {
-  ServiceOptions options;
-  options.shards = 5;
-  LocalizationService service(Rounds().deployment, Config(), options);
-  EXPECT_EQ(service.shard_count(), 8u);
-  // splitmix64 must spread adjacent tag ids over multiple shards.
-  std::map<std::size_t, std::size_t> hits;
-  for (std::uint64_t t = 0; t < 64; ++t) ++hits[service.ShardOf(t)];
-  EXPECT_GT(hits.size(), 4u);
-}
-
 TEST(LocalizationService, PositionsBitIdenticalToSerialEngineViaPoll) {
-  // One engine thread runs each round inline on the assembler (on_ready
-  // fires under the shard lock); four fan every round's maps out.
+  // One engine thread runs each round inline on the assembler; four fan
+  // every round's maps out.
   for (const std::size_t engine_threads : {1u, 4u}) {
     SCOPED_TRACE(testing::Message() << "engine_threads=" << engine_threads);
     ServiceOptions options;
-    options.shards = 4;
     options.engine_threads = engine_threads;
     LocalizationService service(Rounds().deployment, Config(), options);
     service.Start();
@@ -269,9 +256,9 @@ TEST(LocalizationService, TrackingOffLeavesRawPositions) {
   EXPECT_EQ(update->velocity.y, 0.0);
 }
 
-TEST(LocalizationService, ConcurrentIngestIntoOneShardLosesNothing) {
+TEST(LocalizationService, ConcurrentIngestIntoOneRingLosesNothing) {
+  // Every producer and tag contends on the service's one ring and mutex.
   ServiceOptions options;
-  options.shards = 1;        // every tag contends on the same ring + mutex
   options.ring_capacity = 64;  // small: producers must ride backpressure
   LocalizationService service(Rounds().deployment, Config(), options);
 
@@ -320,35 +307,35 @@ TEST(LocalizationService, ConcurrentIngestIntoOneShardLosesNothing) {
   EXPECT_EQ(counters.shed_rounds, 0u);
 }
 
-TEST(LocalizationService, ShardsAreIndependentAndFullRingRefuses) {
+TEST(LocalizationService, FullRingRefusesAndDrainFreesIt) {
   ServiceOptions options;
-  options.shards = 4;
   options.ring_capacity = 4;
   LocalizationService service(Rounds().deployment, Config(), options);
-  // Not started: frames stay in the rings, making capacity observable.
-
-  const std::uint64_t tag_a = 0;
-  std::uint64_t tag_b = 1;
-  while (service.ShardOf(tag_b) == service.ShardOf(tag_a)) ++tag_b;
+  // Not started: frames stay in the ring, making capacity observable.
 
   for (std::uint64_t k = 0; k < 4; ++k) {
-    EXPECT_TRUE(service.Ingest(tag_a, FrameFor(0, 0, k)));
+    EXPECT_TRUE(service.Ingest(k % 2, FrameFor(0, 0, k)));
   }
-  // Tag A's ring is full -> refusal; tag B's shard is unaffected.
-  EXPECT_FALSE(service.Ingest(tag_a, FrameFor(0, 0, 4)));
-  EXPECT_EQ(service.Counters().refused_frames, 1u);
-  EXPECT_TRUE(service.Ingest(tag_b, FrameFor(0, 0, 0)));
+  EXPECT_EQ(service.RingDepth(), 4u);
+  // The ring is full: any tag's next frame is refused, and left untouched
+  // for the producer to retry.
+  EXPECT_FALSE(service.Ingest(0, FrameFor(0, 0, 4)));
+  EXPECT_FALSE(service.Ingest(7, FrameFor(0, 0, 0)));
+  EXPECT_EQ(service.Counters().refused_frames, 2u);
+  EXPECT_EQ(service.Counters().admitted_frames, 4u);
 
-  // Draining tag A's shard must release the ring slots.
+  // Draining the ring must release its slots.
   service.Start();
   ASSERT_TRUE(service.Drain(kDrain));
-  EXPECT_TRUE(service.Ingest(tag_a, FrameFor(0, 0, 5)));
+  EXPECT_EQ(service.RingDepth(), 0u);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    EXPECT_TRUE(service.Ingest(7, FrameFor(0, 0, k)));
+  }
   service.Stop();
 }
 
 TEST(LocalizationService, ShedOldestEvictsTheLowestRoundId) {
   ServiceOptions options;
-  options.shards = 1;
   options.max_assembling_rounds = 2;
   options.shed_policy = ShedPolicy::kShedOldest;
   LocalizationService service(Rounds().deployment, Config(), options);
@@ -382,7 +369,6 @@ TEST(LocalizationService, ShedOldestEvictsTheLowestRoundId) {
 
 TEST(LocalizationService, RefuseNewKeepsInFlightRounds) {
   ServiceOptions options;
-  options.shards = 1;
   options.max_assembling_rounds = 2;
   options.shed_policy = ShedPolicy::kRefuseNew;
   LocalizationService service(Rounds().deployment, Config(), options);
@@ -418,7 +404,6 @@ TEST(LocalizationService, RefuseNewKeepsInFlightRounds) {
 
 TEST(LocalizationService, RoundTimeoutGcExpiresPartialRounds) {
   ServiceOptions options;
-  options.shards = 2;
   options.round_timeout = std::chrono::milliseconds(50);
   LocalizationService service(Rounds().deployment, Config(), options);
   service.Start();
@@ -442,9 +427,7 @@ TEST(LocalizationService, RoundTimeoutGcExpiresPartialRounds) {
 }
 
 TEST(LocalizationService, DuplicateFramesAreDroppedNotAssembled) {
-  ServiceOptions options;
-  options.shards = 1;
-  LocalizationService service(Rounds().deployment, Config(), options);
+  LocalizationService service(Rounds().deployment, Config(), {});
   service.Start();
 
   const std::size_t master = MasterReportIndex(0);
@@ -476,6 +459,30 @@ TEST(LocalizationService, UnknownAnchorAndStoppedServiceRefuse) {
   EXPECT_FALSE(service.Ingest(1, FrameFor(0, 0, 0)));
 }
 
+TEST(LocalizationService, ForeignAnchorHelloLeavesTheAnchorSetAlone) {
+  // The deployment fixes the anchor set. A hello from an anchor outside it
+  // must not become a fifth anchor that every new tag's round waits for.
+  LocalizationService service(Rounds().deployment, Config(), {});
+  service.Start();
+  net::AnchorHelloMsg hello;
+  hello.anchor_id = 999;
+  service.OnMessage(hello);
+
+  SendRound(service, 1, 0, 0);  // a tag first seen after the hello
+  ASSERT_TRUE(service.Drain(kDrain));
+  std::optional<PositionUpdate> update;
+  ASSERT_TRUE(WaitFor([&] { return (update = service.Poll(1)).has_value(); }));
+  ExpectIdentical(update->result, Reference()[0]);
+  // A frame from the foreign anchor is still refused.
+  anchor::CsiReport rogue = FrameFor(0, 0, 1);
+  rogue.anchor_id = 999;
+  ASSERT_TRUE(service.Ingest(1, rogue));
+  ASSERT_TRUE(
+      WaitFor([&] { return service.Counters().refused_frames == 1; }));
+  service.Stop();
+  EXPECT_EQ(service.Counters().expired_rounds, 0u);
+}
+
 TEST(LocalizationService, EngineAdmissionBoundStallsWithoutDeadlock) {
   constexpr std::uint64_t kTags = 6;
   constexpr std::uint64_t kRounds = 2;
@@ -489,7 +496,6 @@ TEST(LocalizationService, EngineAdmissionBoundStallsWithoutDeadlock) {
   for (const std::size_t engine_threads : {1u, 2u}) {
     SCOPED_TRACE(engine_threads);
     ServiceOptions options;
-    options.shards = 2;
     options.engine_threads = engine_threads;
     options.max_inflight_locates = 1;  // assembler must stall and sweep
     LocalizationService service(Rounds().deployment, Config(), options);
@@ -539,7 +545,6 @@ TEST(LocalizationService, DefaultEngineUsesEveryCore) {
 
 TEST(LocalizationService, LocateErrorDropsTheRoundAndKeepsServing) {
   ServiceOptions options;
-  options.shards = 2;
   options.engine_threads = 4;
   LocalizationService service(Rounds().deployment, Config(), options);
   service.Start();
@@ -602,9 +607,7 @@ TEST(LocalizationService, IdleAssemblerWakesOnIngestNotOnTheGcTimer) {
 // Transport integration
 
 TEST(LocalizationService, TagReportsRouteThroughTheWireCodec) {
-  ServiceOptions options;
-  options.shards = 2;
-  LocalizationService service(Rounds().deployment, Config(), options);
+  LocalizationService service(Rounds().deployment, Config(), {});
   service.Start();
   net::InProcTransport transport(service);
 

@@ -39,13 +39,9 @@ ServiceHealthStats HealthyStats() {
   stats.counters.admitted_frames = 4000;
   stats.counters.completed_rounds = 1000;
   stats.counters.localized_rounds = 1000;
-  ShardHealth shard;
-  shard.ring_depth = 2;
-  shard.localized_rounds = 1000;
-  shard.window_samples = 100;
-  shard.window_p50_us = 5'000.0;
-  shard.window_p99_us = 20'000.0;
-  stats.shards.push_back(shard);
+  stats.ring_depth = 2;
+  stats.window_p50_us = 5'000.0;
+  stats.window_p99_us = 20'000.0;
   return stats;
 }
 
@@ -61,7 +57,7 @@ TEST(EvaluateHealth, HealthyServicePassesEveryCheck) {
 }
 
 TEST(EvaluateHealth, ChecksAreExactlyTheServiceSlos) {
-  // Every check reads this service's own counters and shards, never a
+  // Every check reads this service's own counters and window, never a
   // process-global series another component in the process could move.
   std::vector<std::string> names;
   for (const HealthCheck& check : EvaluateHealth(HealthyStats()).checks) {
@@ -69,8 +65,7 @@ TEST(EvaluateHealth, ChecksAreExactlyTheServiceSlos) {
   }
   EXPECT_EQ(names, (std::vector<std::string>{
                        "e2e_p99_ms", "shed_ratio", "refused_ratio",
-                       "expired_ratio", "locate_error_ratio",
-                       "shard_imbalance"}));
+                       "expired_ratio", "locate_error_ratio"}));
 }
 
 TEST(EvaluateHealth, WarmingUpIsHealthyDespiteBadRatios) {
@@ -78,7 +73,6 @@ TEST(EvaluateHealth, WarmingUpIsHealthyDespiteBadRatios) {
   stats.counters.completed_rounds = 10;  // below min_rounds
   stats.counters.localized_rounds = 10;
   stats.counters.shed_rounds = 5;  // 50% shed would fail when warm
-  stats.shards[0].localized_rounds = 10;
   const HealthReport report = EvaluateHealth(stats);
   EXPECT_TRUE(report.healthy);
   EXPECT_TRUE(report.warming_up);
@@ -86,7 +80,7 @@ TEST(EvaluateHealth, WarmingUpIsHealthyDespiteBadRatios) {
 
 TEST(EvaluateHealth, DegradedOnWindowP99) {
   ServiceHealthStats stats = HealthyStats();
-  stats.shards[0].window_p99_us = 400'000.0;  // 400 ms > 250 ms budget
+  stats.window_p99_us = 400'000.0;  // 400 ms > 250 ms budget
   const HealthReport report = EvaluateHealth(stats);
   EXPECT_FALSE(report.healthy);
   bool found = false;
@@ -141,37 +135,10 @@ TEST(EvaluateHealth, ServiceThatOnlyFailsIsNotWarmingUp) {
   ServiceHealthStats stats = HealthyStats();
   stats.counters.localized_rounds = 0;
   stats.counters.locate_errors = stats.counters.completed_rounds;
-  stats.shards[0].localized_rounds = 0;
   const HealthReport report = EvaluateHealth(stats);
   EXPECT_FALSE(report.warming_up);
   EXPECT_EQ(report.rounds_observed, 1000u);
   EXPECT_FALSE(report.healthy);
-}
-
-TEST(EvaluateHealth, ImbalanceJudgedOnlyUnderLoad) {
-  ServiceHealthStats stats = HealthyStats();
-  // 31 extra idle shards: one shard with a couple of queued frames gives a
-  // mean depth under one, so imbalance must read as 0 (healthy).
-  for (int i = 0; i < 31; ++i) stats.shards.push_back(ShardHealth{});
-  stats.shards[0].ring_depth = 2;
-  EXPECT_TRUE(EvaluateHealth(stats).healthy);
-
-  // Real backlog concentrated on one shard: mean 20, max 640, ratio 32
-  // over the budget of 16 -> degraded on shard_imbalance alone.
-  stats.shards[0].ring_depth = 640;
-  const HealthReport report = EvaluateHealth(stats);
-  EXPECT_FALSE(report.healthy);
-  bool found = false;
-  for (const HealthCheck& check : report.checks) {
-    if (check.name == "shard_imbalance") {
-      EXPECT_FALSE(check.ok);
-      EXPECT_DOUBLE_EQ(check.value, 32.0);
-      found = true;
-    } else {
-      EXPECT_TRUE(check.ok) << check.name;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST(EvaluateHealth, ReportJsonCarriesVerdictAndChecks) {
@@ -302,7 +269,7 @@ const sim::Dataset& Rounds() {
   return dataset;
 }
 
-TEST(AdminServer, AttachedServiceExposesShardSeriesAndHealth) {
+TEST(AdminServer, AttachedServiceExposesWindowSeriesAndHealth) {
   LocalizationService service(Rounds().deployment,
                               sim::PaperLocalizerConfig(Rounds()), {});
   std::atomic<std::uint64_t> updates{0};
@@ -328,18 +295,18 @@ TEST(AdminServer, AttachedServiceExposesShardSeriesAndHealth) {
   }
   ASSERT_EQ(updates.load(), 2u);
 
-  // Per-shard series come from HealthStats (not the metrics registry), so
-  // they are exposed in every build flavor once a service is attached.
+  // The window series come from HealthStats (not the metrics registry),
+  // unlabelled, once a service is attached: two delivered rounds put a
+  // positive latency in both quantiles.
   const std::string metrics = HttpBody(HttpGet(admin.port(), "/metrics"));
   const std::vector<PromSample> samples = ParsePrometheus(metrics);
-  const PromSample* shard0 = FindSample(
-      samples, "bloc_serve_shard_localized_rounds", {{"shard", "0"}});
-  ASSERT_NE(shard0, nullptr);
-  double delivered = 0.0;
-  for (const PromSample& s : samples) {
-    if (s.name == "bloc_serve_shard_localized_rounds") delivered += s.value;
+  for (const char* name :
+       {"bloc_serve_window_p50_us", "bloc_serve_window_p99_us"}) {
+    const PromSample* sample = FindSample(samples, name);
+    ASSERT_NE(sample, nullptr) << name;
+    EXPECT_TRUE(sample->labels.empty()) << name;
+    EXPECT_GT(sample->value, 0.0) << name;
   }
-  EXPECT_EQ(delivered, 2.0);
 
   // Two delivered rounds is far below min_rounds: healthy, warming up.
   const std::string health = HttpGet(admin.port(), "/healthz");
